@@ -12,6 +12,7 @@ excluded from rankings and tie-breaking stays well defined.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import Counter
@@ -56,6 +57,10 @@ class Bm25Index:
         self.doc_count = len(doc_lengths)
         self.avg_doc_length = sum(doc_lengths) / self.doc_count if self.doc_count else 0.0
         self.params = params
+        # Per-document length norm k1 * (1 - b + b * |d| / avgdl). An all-empty
+        # corpus has no postings, so its norms are never read.
+        k1, b, avgdl = params.k1, params.b, self.avg_doc_length or 1.0
+        self.norms = [k1 * (1.0 - b + b * n / avgdl) for n in doc_lengths]
 
     @classmethod
     def build(cls, docs: list[TokenStream], params: Bm25Params = Bm25Params()) -> "Bm25Index":
@@ -71,11 +76,6 @@ class Bm25Index:
     def _idf(self, df: int) -> float:
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
-    def _contribution(self, idf: float, tf: int, doc_length: int) -> float:
-        k1, b = self.params.k1, self.params.b
-        norm = k1 * (1.0 - b + b * doc_length / self.avg_doc_length)
-        return idf * tf * (k1 + 1.0) / (tf + norm)
-
     def score(self, query: TokenStream, doc_index: int) -> float:
         """Score one document; absent query terms contribute zero."""
         if not 0 <= doc_index < self.doc_count:
@@ -88,7 +88,7 @@ class Bm25Index:
             tf = next((f for d, f in posting if d == doc_index), 0)
             if tf == 0:
                 continue
-            total += self._contribution(self._idf(len(posting)), tf, self.doc_lengths[doc_index])
+            total += self._idf(len(posting)) * tf * (self.params.k1 + 1.0) / (tf + self.norms[doc_index])
         return total
 
     def top_k(self, query: TokenStream, k: int) -> list[ScoredDoc]:
@@ -97,19 +97,22 @@ class Bm25Index:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         scores: dict[int, float] = {}
+        norms, k1_plus_1 = self.norms, self.params.k1 + 1.0
         for token in _unique(query):
             posting = self.postings.get(token)
             if not posting:
                 continue
             idf = self._idf(len(posting))
             for doc_index, tf in posting:
-                contribution = self._contribution(idf, tf, self.doc_lengths[doc_index])
-                scores[doc_index] = scores.get(doc_index, 0.0) + contribution
-        ranked = sorted(
-            (item for item in scores.items() if item[1] > 0.0),
+                scores[doc_index] = scores.get(doc_index, 0.0) + idf * tf * k1_plus_1 / (tf + norms[doc_index])
+        # A list, not a generator: nsmallest then sorts inputs of at most k
+        # items directly.
+        ranked = heapq.nsmallest(
+            k,
+            [item for item in scores.items() if item[1] > 0.0],
             key=lambda item: (-item[1], item[0]),
         )
-        return [ScoredDoc(doc_index=d, score=s) for d, s in ranked[:k]]
+        return [ScoredDoc(doc_index=d, score=s) for d, s in ranked]
 
     def to_dict(self) -> dict:
         return {

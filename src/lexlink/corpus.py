@@ -19,6 +19,7 @@ from .errors import (
     PriorOutOfRange,
     PriorSumExceeded,
     SpanMismatch,
+    StaleIndex,
 )
 
 _PRIOR_SUM_TOLERANCE = 1e-6
@@ -52,6 +53,8 @@ class KnowledgeBase:
         return iter(self.entities)
 
     def lookup(self, entity_id: str) -> EntityRecord:
+        if entity_id not in self.index:
+            raise StaleIndex(entity_id)
         return self.entities[self.index[entity_id]]
 
     def fingerprint(self) -> str:

@@ -100,5 +100,13 @@ class StaleStore(DataError):
     pass
 
 
+class StaleIndex(DataError):
+    def __init__(self, entity_id: str):
+        self.entity_id = entity_id
+        super().__init__(
+            f"entity {entity_id!r} is not in the knowledge base: the index no longer matches it; rerun build-index"
+        )
+
+
 class ArtifactFormatError(DataError):
     pass

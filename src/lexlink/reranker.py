@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,20 +123,11 @@ def build_entity_sequence(e: EntityRecord, cfg: EncoderConfig) -> MarkedSequence
     return MarkedSequence(tokens=(*name, NAME_DESC_SEP, *desc), role="entity")
 
 
-def _token_features(token: str, orders: tuple[int, ...], in_span: bool) -> Iterable[str]:
+def _token_features(token: str, orders: tuple[int, ...], in_span: bool) -> list[str]:
     if token in _MARKERS:
-        yield token
-        return
-    for n in orders:
-        for i in range(len(token) - n + 1):
-            gram = token[i : i + n]
-            yield gram
-            if in_span:
-                yield _IN_SPAN_PREFIX + gram
-
-
-def _hash_feature(feature: str, buckets: int) -> int:
-    return zlib.crc32(feature.encode("utf-8")) % buckets
+        return [token]
+    grams = [token[i : i + n] for n in orders for i in range(len(token) - n + 1)]
+    return [f for gram in grams for f in (gram, _IN_SPAN_PREFIX + gram)] if in_span else grams
 
 
 @dataclass(frozen=True)
@@ -150,15 +140,23 @@ class SequenceFeatures:
 
 
 def sequence_features(seq: MarkedSequence, cfg: EncoderConfig) -> SequenceFeatures:
-    counter: Counter[int] = Counter()
+    # Each distinct (token, in-span) pair is featurized once and weighted by
+    # its multiplicity; buckets keep their order of first occurrence. Plain
+    # dicts, because Counter's item access is slower.
+    pairs: dict[tuple[str, bool], int] = {}
     in_span = False
     for token in seq.tokens:
         if token == MENTION_END:
             in_span = False
-        for feature in _token_features(token, cfg.ngram_orders, in_span):
-            counter[_hash_feature(feature, cfg.hash_buckets)] += 1
+        pair = (token, in_span)
+        pairs[pair] = pairs.get(pair, 0) + 1
         if token == MENTION_START:
             in_span = True
+    counter: dict[int, int] = {}
+    for (token, tagged), multiplicity in pairs.items():
+        for feature in _token_features(token, cfg.ngram_orders, tagged):
+            bucket = zlib.crc32(feature.encode()) % cfg.hash_buckets
+            counter[bucket] = counter.get(bucket, 0) + multiplicity
     buckets = np.fromiter(counter.keys(), dtype=np.int64, count=len(counter))
     counts = np.fromiter(counter.values(), dtype=np.float64, count=len(counter))
     return SequenceFeatures(buckets=buckets, counts=counts, token_count=max(len(seq.tokens), 1))

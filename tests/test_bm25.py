@@ -32,6 +32,13 @@ def test_build_empty_corpus_returns_empty_rankings():
     assert index.top_k(["anything"], 10) == []
 
 
+def test_build_all_empty_documents_returns_empty_rankings():
+    index = Bm25Index.build([[], []])
+    assert index.avg_doc_length == 0.0
+    assert index.top_k(["a"], 3) == []
+    assert index.score(["a"], 1) == 0.0
+
+
 def test_build_repeated_term_frequency():
     index = Bm25Index.build([["a", "a", "a"]])
     assert index.postings["a"] == [(0, 3)]
@@ -131,6 +138,18 @@ def test_oracle_equivalence_over_random_corpora():
         assert [h.doc_index for h in got] == [i for i, _ in expected]
         for hit, (_, score) in zip(got, expected):
             assert hit.score == pytest.approx(score, abs=1e-9)
+
+
+def test_top_k_scores_equal_score_bitwise():
+    rng = random.Random(77)
+    for _ in range(20):
+        docs = random_corpus(rng)
+        params = Bm25Params(k1=rng.uniform(0.5, 2.0), b=rng.uniform(0.0, 1.0))
+        index = Bm25Index.build(docs, params)
+        tokens = [t for d in docs for t in d] or ["t0"]
+        query = [rng.choice(tokens) for _ in range(rng.randrange(1, 6))]
+        for hit in index.top_k(query, len(docs)):
+            assert hit.score.hex() == index.score(query, hit.doc_index).hex()
 
 
 def test_monotonicity_in_term_frequency():

@@ -152,6 +152,28 @@ def test_stale_store_exits_2(tmp_path, capsys):
     assert "stale" in capsys.readouterr().err.lower()
 
 
+def test_index_older_than_the_kb_exits_2_naming_the_entity(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--seed", "5", "--entities", "50", "--mentions", "20", "--out", str(data)]) == 0
+    split_mentions(data, 10)
+    flags = workflow_flags(tmp_path)
+    for command in ("build-index", "train", "embed-entities"):
+        assert main([command, *flags]) == 0, command
+    mention = (data / "eval.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    gold = json.loads(mention)["gold_id"]
+    kb_path = data / "kb.jsonl"
+    lines = kb_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kb_path.write_text("".join(line for line in lines if json.loads(line)["id"] != gold), encoding="utf-8")
+    assert main(["embed-entities", *flags]) == 0
+    single = tmp_path / "single.jsonl"
+    single.write_text(mention, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", *flags, "--mentions", str(single)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert repr(gold) in err and "index no longer matches" in err
+
+
 def test_predict_on_empty_mentions_writes_empty_file(tmp_path):
     run_workflow(tmp_path)
     empty = tmp_path / "empty.jsonl"

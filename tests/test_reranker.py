@@ -1,7 +1,12 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from lexlink.corpus import Dataset, EntityRecord, KnowledgeBase, MentionRecord
 from lexlink.errors import (
@@ -155,6 +160,47 @@ def test_marker_tokens_contribute_a_single_reserved_feature():
     feats = sequence_features(MarkedSequence(tokens=(MENTION_START,), role="mention"), cfg)
     assert feats.counts.sum() == 1.0
     assert feats.token_count == 1
+
+
+# A small vocabulary makes tokens repeat inside and outside the span; tiny
+# bucket counts make distinct features collide.
+_TOKENS = st.one_of(
+    st.sampled_from(["apple", "a", "ab", "中", "ß", "gpt4", "\u0130x"]),
+    st.text(min_size=1, max_size=5),
+)
+_MARKER_OR_TOKEN = st.one_of(st.sampled_from([MENTION_START, MENTION_END, NAME_DESC_SEP]), _TOKENS)
+_MARKED = st.one_of(
+    st.builds(
+        lambda left, span, right: (*left, MENTION_START, *span, MENTION_END, *right),
+        st.lists(_TOKENS, max_size=8),
+        st.lists(_TOKENS, min_size=1, max_size=4),
+        st.lists(_TOKENS, max_size=8),
+    ),
+    st.lists(_MARKER_OR_TOKEN, max_size=16).map(tuple),
+)
+
+
+@lru_cache(maxsize=None)
+def _featurizer_model(hash_buckets, ngram_orders):
+    cfg = EncoderConfig(dim=4, hash_buckets=hash_buckets, ngram_orders=ngram_orders, max_len=16, seed=5)
+    return cfg, DualEncoder.initialize(cfg).mention_params
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tokens=_MARKED,
+    hash_buckets=st.sampled_from([7, 64, 2**16]),
+    ngram_orders=st.sampled_from([(1, 2, 3), (2,), (3, 1)]),
+)
+def test_sequence_features_match_token_by_token_reference_bitwise(tokens, hash_buckets, ngram_orders):
+    cfg, params = _featurizer_model(hash_buckets, ngram_orders)
+    seq = MarkedSequence(tokens=tokens, role="mention")
+    got, want = sequence_features(seq, cfg), oracles.sequence_features(seq, cfg)
+    assert got.buckets.dtype == want.buckets.dtype and got.counts.dtype == want.counts.dtype
+    assert got.buckets.tobytes() == want.buckets.tobytes()
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.token_count == want.token_count
+    assert encode(got, params, cfg).tobytes() == encode(want, params, cfg).tobytes()
 
 
 def test_score_pair_zero_vector():

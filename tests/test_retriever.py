@@ -162,6 +162,12 @@ def test_fine_empty_candidates(fruit_kb, retriever):
     assert retriever.retrieve_fine(fruit_kb, "anything", []) == []
 
 
+def test_fine_over_empty_descriptions_returns_nothing():
+    kb = KnowledgeBase([EntityRecord(id=f"Q{i}", name=f"name {i}", description="") for i in range(3)])
+    r = Retriever.build(kb, AliasTable([]))
+    assert r.retrieve_fine(kb, "name of anything", ["Q0", "Q1", "Q2"]) == []
+
+
 # -- full cascade ------------------------------------------------------------
 
 

@@ -1,6 +1,12 @@
 import random
+import re
 import string
+import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from lexlink.tokenizer import tokenize
 
 
@@ -48,3 +54,31 @@ def test_idempotence_on_latin_text():
 def test_determinism():
     text = "中国GPT-4 Bank 银行x9"
     assert tokenize(text) == tokenize(text)
+
+
+# -- equivalence with the per-character reference ------------------------------
+
+# CJK block edges on both sides, the underscore, case mappings that change
+# length ('İ' lowercases to two codepoints, final sigma depends on context),
+# and alphanumerics that are not letters or ASCII digits.
+_TRICKY = (
+    "\u33ff\u3400\u4dbf\u4dc0\u9fff\ua000\uf8ff\uf900\ufaff\ufb00"
+    "_\u0130\u00df\u216b\u00bd\u03a3\u03c3A a-"
+    + "".join(map(chr, range(0x660, 0x66A)))  # Arabic-Indic digits
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=40))
+def test_tokenize_matches_per_character_reference(text):
+    assert tokenize(text) == oracles.tokenize(text)
+
+
+def test_word_class_without_underscore_is_exactly_isalnum():
+    alnum = re.compile(r"[^\W_]")
+    mismatches = [
+        cp
+        for cp in range(sys.maxunicode + 1)
+        if not 0xD800 <= cp <= 0xDFFF and bool(alnum.match(chr(cp))) != chr(cp).isalnum()
+    ]
+    assert mismatches == []
