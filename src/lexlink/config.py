@@ -8,6 +8,7 @@ training epoch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -17,6 +18,20 @@ from .reranker import EncoderConfig, TrainConfig
 from .retriever import RetrieverConfig
 
 ENV_CONFIG_VAR = "LEXLINK_CONFIG"
+
+
+def _invalid_value_is_data_error(build):
+    """Report a config value the component configs reject (out of range,
+    unparsable) as a ``DataError`` instead of a bare ``ValueError``."""
+
+    @functools.wraps(build)
+    def checked(self):
+        try:
+            return build(self)
+        except ValueError as exc:
+            raise DataError(f"invalid configuration: {exc}") from exc
+
+    return checked
 
 
 @dataclass
@@ -53,6 +68,7 @@ class PipelineConfig:
     # single seed; components derive their own sub-streams from it
     seed: int = 42
 
+    @_invalid_value_is_data_error
     def retriever_config(self) -> RetrieverConfig:
         return RetrieverConfig(
             k_at=self.k_at,
@@ -62,8 +78,12 @@ class PipelineConfig:
             alias_expansion=self.alias_expansion,
         )
 
+    @_invalid_value_is_data_error
     def encoder_config(self) -> EncoderConfig:
-        orders = tuple(int(part) for part in str(self.ngram_orders).split(",") if part.strip())
+        try:
+            orders = tuple(int(part) for part in str(self.ngram_orders).split(",") if part.strip())
+        except ValueError:
+            raise ValueError(f"ngram_orders must be comma-separated integers, got {self.ngram_orders!r}") from None
         return EncoderConfig(
             dim=self.dim,
             hash_buckets=self.hash_buckets,
@@ -72,6 +92,7 @@ class PipelineConfig:
             seed=self.seed,
         )
 
+    @_invalid_value_is_data_error
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.learning_rate,

@@ -15,7 +15,7 @@ from typing import Sequence
 from .corpus import Dataset
 from .ensemble import Prediction
 from .errors import LengthMismatch
-from .pipeline import TOGGLES, LinkedMention, Pipeline
+from .pipeline import TOGGLES, LinkedMention, Pipeline, check_toggles
 from .retriever import RetrievalResult
 
 RECALL_KS = (1, 5, 10)
@@ -167,25 +167,24 @@ def evaluate_dataset(pipeline: Pipeline, ds: Dataset) -> tuple[RecallReport, Acc
 
 
 def run_ablation(pipeline: Pipeline, ds: Dataset, toggles: Sequence[str] = TOGGLES) -> list[AccuracyReport]:
-    """Full system plus one run per toggle, in canonical row order.
+    """Full system plus one row per toggle, in canonical row order.
 
     Disabling ``ensemble`` takes the reranker top-1 directly; disabling a
-    BM25 stage removes its candidates from the cascade and its vote.
+    BM25 stage removes its candidates from the cascade and its vote. Every
+    row comes from one link per mention (``Pipeline.ablate``): the two
+    coarse-stage rows rerun only the fine stage, the other rows reuse the
+    link as it is. Each row equals linking the dataset with its toggle
+    disabled, and a record that fails to link raises as it would there.
     """
-    unknown = set(toggles).difference(TOGGLES)
-    if unknown:
-        raise ValueError(f"unknown toggles: {sorted(unknown)}")
+    check_toggles(toggles)
     golds = _golds(ds)
-
-    def run(disabled: frozenset[str], system: str) -> AccuracyReport:
-        linked = pipeline.link_dataset(ds, disabled=disabled)
-        return accuracy([lm.prediction for lm in linked], golds, system=system)
-
-    reports = [run(frozenset(), "full")]
-    for toggle in TOGGLES:
-        if toggle in toggles:
-            reports.append(run(frozenset((toggle,)), ABLATION_LABELS[toggle]))
-    return reports
+    rows = [toggle for toggle in TOGGLES if toggle in toggles]
+    preds: list[list[Prediction | None]] = [[] for _ in range(len(rows) + 1)]
+    for record in ds.records:
+        for column, lm in zip(preds, pipeline.ablate(record, rows)):
+            column.append(lm.prediction)
+    systems = ["full", *(ABLATION_LABELS[toggle] for toggle in rows)]
+    return [accuracy(column, golds, system=system) for column, system in zip(preds, systems)]
 
 
 def write_json_report(objects: list[dict], path) -> None:

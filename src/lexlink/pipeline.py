@@ -5,6 +5,7 @@ retrieve, rerank over the union of coarse and fine candidates, vote.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .corpus import Dataset, KnowledgeBase, MentionRecord
 from .ensemble import Prediction, VoteInput, vote
@@ -17,6 +18,13 @@ TOGGLES = ("ensemble", "at_bm25", "kb_bm25", "desc_bm25")
 # decided_by label used when the ensemble is disabled and the reranker's
 # top-1 is taken directly.
 RERANKER_ONLY = "reranker_only"
+
+
+def check_toggles(toggles) -> None:
+    """Raise ``ValueError`` naming any toggle outside ``TOGGLES``."""
+    unknown = set(toggles).difference(TOGGLES)
+    if unknown:
+        raise ValueError(f"unknown toggles: {sorted(unknown)}")
 
 
 @dataclass
@@ -37,37 +45,74 @@ class Pipeline:
     store: EntityEmbeddingStore
 
     def link(self, m: MentionRecord, disabled: frozenset[str] = frozenset()) -> LinkedMention:
-        unknown = disabled.difference(TOGGLES)
-        if unknown:
-            raise ValueError(f"unknown toggles: {sorted(unknown)}")
+        check_toggles(disabled)
         result = self.retriever.retrieve(self.kb, m, disabled=disabled)
-        pool = merge_coarse(result.cand1, result.cand2)
-        reranked = rerank(self.model, self.store, m, pool)
-        top_reranked = reranked[0][0] if reranked else None
-        votes = VoteInput(
-            at=result.top1_at,
-            kb=result.top1_kb,
-            desc=result.top1_desc,
-            reranker=top_reranked,
+        reranked = rerank(self.model, self.store, m, merge_coarse(result.cand1, result.cand2))
+        return _decide(m, result, reranked, disabled)
+
+    def ablate(self, m: MentionRecord, toggles: Sequence[str]) -> list[LinkedMention]:
+        """``link(m)`` followed by, for each toggle, what ``link(m, {toggle})``
+        returns, derived from that one link instead of linking again.
+
+        Disabling ``ensemble`` or ``desc_bm25`` keeps the reranker pool, which
+        is Cand1 either way. Disabling a coarse stage reruns only the fine
+        stage, over the narrowed Cand1. The reranker's scores depend only on
+        the mention and the entity and it ranks by ``(-score, entity_id)``, so
+        the full ranking filtered to a narrowed pool is that pool's ranking.
+        """
+        check_toggles(toggles)
+        lm = self.link(m)
+        stages = [toggle for toggle in toggles if toggle != "ensemble"]
+        narrowed = self.retriever.narrow(
+            self.kb,
+            m.text,
+            lm.retrieval.cand_at,
+            lm.retrieval.cand_kb,
+            [frozenset((toggle,)) for toggle in stages],
         )
-        if "ensemble" in disabled:
-            prediction = (
-                Prediction(entity_id=top_reranked, decided_by=RERANKER_ONLY)
-                if top_reranked is not None
-                else None
-            )
-        elif votes == VoteInput():
-            prediction = None
-        else:
-            prediction = vote(votes)
-        return LinkedMention(
-            doc_id=m.doc_id,
-            gold_id=m.gold_id,
-            retrieval=result,
-            votes=votes,
-            reranked=reranked,
-            prediction=prediction,
-        )
+        results = dict(zip(stages, narrowed))
+        views = [lm]
+        for toggle in toggles:
+            result = results.get(toggle, lm.retrieval)
+            pool = set(merge_coarse(result.cand1, result.cand2))
+            reranked = [pair for pair in lm.reranked if pair[0] in pool]
+            views.append(_decide(m, result, reranked, frozenset((toggle,))))
+        return views
 
     def link_dataset(self, ds: Dataset, disabled: frozenset[str] = frozenset()) -> list[LinkedMention]:
         return [self.link(record, disabled=disabled) for record in ds.records]
+
+
+def _decide(
+    m: MentionRecord,
+    result: RetrievalResult,
+    reranked: list[tuple[str, float]],
+    disabled: frozenset[str],
+) -> LinkedMention:
+    """Vote over the stage heads, or take the reranker's top-1 directly when
+    ``ensemble`` is disabled."""
+    top_reranked = reranked[0][0] if reranked else None
+    votes = VoteInput(
+        at=result.top1_at,
+        kb=result.top1_kb,
+        desc=result.top1_desc,
+        reranker=top_reranked,
+    )
+    if "ensemble" in disabled:
+        prediction = (
+            Prediction(entity_id=top_reranked, decided_by=RERANKER_ONLY)
+            if top_reranked is not None
+            else None
+        )
+    elif votes == VoteInput():
+        prediction = None
+    else:
+        prediction = vote(votes)
+    return LinkedMention(
+        doc_id=m.doc_id,
+        gold_id=m.gold_id,
+        retrieval=result,
+        votes=votes,
+        reranked=reranked,
+        prediction=prediction,
+    )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from .bm25 import Bm25Index, Bm25Params
 from .corpus import AliasEntry, AliasTable, KnowledgeBase, MentionRecord
@@ -128,33 +129,57 @@ class Retriever:
         The description corpus changes per mention, so the index is transient;
         rebuilding over a handful of candidates is cheap.
         """
-        if not cand1:
-            return []
+        return self._rank_descriptions(kb, _fine_query(doc_text), cand1) if cand1 else []
+
+    def _rank_descriptions(self, kb: KnowledgeBase, query: list[str], cand1: CandidateSet) -> CandidateSet:
         docs = [tokenize(kb.lookup(entity_id).description) for entity_id in cand1]
         index = Bm25Index.build(docs, self.config.bm25_params)
-        query = tokenize(doc_text)[:FINE_QUERY_TOKEN_LIMIT]
         hits = index.top_k(query, self.config.k_desc) if query else []
         return [cand1[hit.doc_index] for hit in hits]
+
+    def narrow(
+        self,
+        kb: KnowledgeBase,
+        doc_text: str,
+        cand_at: CandidateSet,
+        cand_kb: CandidateSet,
+        disabled_sets: Sequence[frozenset[str]],
+    ) -> list[RetrievalResult]:
+        """The rest of the cascade after the coarse stage, once per set of
+        disabled stages: drop the coarse lists the set names (``at_bm25``,
+        ``kb_bm25``), merge what is left into Cand1 and, unless ``desc_bm25``
+        is named, rank Cand1 with the fine stage. The document text is
+        tokenized at most once for all sets.
+        """
+        query: list[str] | None = None
+        results = []
+        for disabled in disabled_sets:
+            kept_at = [] if "at_bm25" in disabled else cand_at
+            kept_kb = [] if "kb_bm25" in disabled else cand_kb
+            cand1 = merge_coarse(kept_at, kept_kb)
+            cand2: CandidateSet = []
+            if cand1 and "desc_bm25" not in disabled:
+                if query is None:
+                    query = _fine_query(doc_text)
+                cand2 = self._rank_descriptions(kb, query, cand1)
+            results.append(
+                RetrievalResult(
+                    cand_at=kept_at,
+                    cand_kb=kept_kb,
+                    cand1=cand1,
+                    cand2=cand2,
+                    top1_at=kept_at[0] if kept_at else None,
+                    top1_kb=kept_kb[0] if kept_kb else None,
+                    top1_desc=cand2[0] if cand2 else None,
+                )
+            )
+        return results
 
     def retrieve(self, kb: KnowledgeBase, mention: MentionRecord, disabled: frozenset[str] = frozenset()) -> RetrievalResult:
         """Full cascade. ``disabled`` may name BM25 stages to leave out
         (``at_bm25``, ``kb_bm25``, ``desc_bm25``), used by ablations."""
         cand_at, cand_kb = self.retrieve_coarse(mention.mention)
-        if "at_bm25" in disabled:
-            cand_at = []
-        if "kb_bm25" in disabled:
-            cand_kb = []
-        cand1 = merge_coarse(cand_at, cand_kb)
-        cand2 = [] if "desc_bm25" in disabled else self.retrieve_fine(kb, mention.text, cand1)
-        return RetrievalResult(
-            cand_at=cand_at,
-            cand_kb=cand_kb,
-            cand1=cand1,
-            cand2=cand2,
-            top1_at=cand_at[0] if cand_at else None,
-            top1_kb=cand_kb[0] if cand_kb else None,
-            top1_desc=cand2[0] if cand2 else None,
-        )
+        return self.narrow(kb, mention.text, cand_at, cand_kb, [disabled])[0]
 
     def save(self, at_path, kb_path) -> None:
         at_obj = {
@@ -191,6 +216,10 @@ class Retriever:
             list(kb_obj["entity_ids"]),
             config,
         )
+
+
+def _fine_query(doc_text: str) -> list[str]:
+    return tokenize(doc_text)[:FINE_QUERY_TOKEN_LIMIT]
 
 
 def _read_json(path) -> dict:

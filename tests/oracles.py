@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's fast paths: BM25 evaluates the scoring
 formula term by term over raw token lists, the tokenizer classifies text one
-character at a time, and the featurizer hashes every n-gram of every token.
+character at a time, the featurizer hashes every n-gram of every token, and
+the ablation links the whole dataset once per row.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from collections import Counter
 
 import numpy as np
 
+from lexlink.bm25 import Bm25Index
+from lexlink.corpus import Dataset, MentionRecord
+from lexlink.ensemble import Prediction, VoteInput, vote
+from lexlink.evaluation import ABLATION_LABELS, AccuracyReport, accuracy
+from lexlink.pipeline import RERANKER_ONLY, TOGGLES, LinkedMention, Pipeline
 from lexlink.reranker import (
     _IN_SPAN_PREFIX,
     MENTION_END,
@@ -21,7 +27,9 @@ from lexlink.reranker import (
     EncoderConfig,
     MarkedSequence,
     SequenceFeatures,
+    rerank,
 )
+from lexlink.retriever import FINE_QUERY_TOKEN_LIMIT, RetrievalResult, merge_coarse
 
 
 def bm25_score(docs: list[list[str]], query: list[str], doc_index: int, k1: float, b: float) -> float:
@@ -102,3 +110,53 @@ def sequence_features(seq: MarkedSequence, cfg: EncoderConfig) -> SequenceFeatur
         counts=np.array(list(counter.values()), dtype=np.float64),
         token_count=max(len(seq.tokens), 1),
     )
+
+
+def link(pipeline: Pipeline, m: MentionRecord, disabled: frozenset[str] = frozenset()) -> LinkedMention:
+    """The cascade for one mention, stage after stage, with the stages in
+    ``disabled`` left out: coarse lists, Cand1, a description index over
+    Cand1 queried with the document, rerank over Cand1 and Cand2, vote."""
+    kb, retriever = pipeline.kb, pipeline.retriever
+    cand_at, cand_kb = retriever.retrieve_coarse(m.mention)
+    if "at_bm25" in disabled:
+        cand_at = []
+    if "kb_bm25" in disabled:
+        cand_kb = []
+    cand1 = merge_coarse(cand_at, cand_kb)
+    cand2: list[str] = []
+    if cand1 and "desc_bm25" not in disabled:
+        index = Bm25Index.build([tokenize(kb.lookup(e).description) for e in cand1], retriever.config.bm25_params)
+        query = tokenize(m.text)[:FINE_QUERY_TOKEN_LIMIT]
+        if query:
+            cand2 = [cand1[hit.doc_index] for hit in index.top_k(query, retriever.config.k_desc)]
+    retrieval = RetrievalResult(
+        cand_at=cand_at,
+        cand_kb=cand_kb,
+        cand1=cand1,
+        cand2=cand2,
+        top1_at=cand_at[0] if cand_at else None,
+        top1_kb=cand_kb[0] if cand_kb else None,
+        top1_desc=cand2[0] if cand2 else None,
+    )
+    reranked = rerank(pipeline.model, pipeline.store, m, merge_coarse(cand1, cand2))
+    top = reranked[0][0] if reranked else None
+    votes = VoteInput(at=retrieval.top1_at, kb=retrieval.top1_kb, desc=retrieval.top1_desc, reranker=top)
+    if "ensemble" in disabled:
+        prediction = Prediction(top, RERANKER_ONLY) if top is not None else None
+    else:
+        prediction = vote(votes) if votes != VoteInput() else None
+    return LinkedMention(
+        doc_id=m.doc_id, gold_id=m.gold_id, retrieval=retrieval, votes=votes, reranked=reranked, prediction=prediction
+    )
+
+
+def run_ablation(pipeline: Pipeline, ds: Dataset, toggles=TOGGLES) -> list[AccuracyReport]:
+    """One pass over the whole dataset per row: the full system, then each
+    toggle in ``TOGGLES`` order disabled on its own."""
+    golds = [record.gold_id for record in ds.records]
+    rows = [("full", frozenset())]
+    rows += [(ABLATION_LABELS[t], frozenset((t,))) for t in TOGGLES if t in toggles]
+    return [
+        accuracy([link(pipeline, record, disabled).prediction for record in ds.records], golds, system=system)
+        for system, disabled in rows
+    ]

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from lexlink.cli import main
 
 
@@ -245,3 +247,30 @@ def test_unknown_config_key_exits_2(tmp_path):
 def test_unknown_ablation_toggle_exits_2(tmp_path):
     run_workflow(tmp_path)
     assert main(["ablate", *workflow_flags(tmp_path), "--toggles", "bogus"]) == 2
+
+
+@pytest.fixture(scope="module")
+def trained_workflow(tmp_path_factory):
+    root = tmp_path_factory.mktemp("workflow")
+    data = root / "data"
+    assert main(["synth", "--seed", "5", "--entities", "15", "--mentions", "20", "--out", str(data)]) == 0
+    split_mentions(data, 10)
+    for command in ("build-index", "train", "embed-entities"):
+        assert main([command, *workflow_flags(root)]) == 0, command
+    return root
+
+
+RETRIEVER_VALUES = [("--k-at", "0"), ("--k-desc", "0"), ("--alias-expansion", "bogus"), ("--bm25-b", "2")]
+MODEL_VALUES = [("--epochs", "0"), ("--dim", "0"), ("--ngram-orders", "x")]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [("train", flag, value) for flag, value in RETRIEVER_VALUES + MODEL_VALUES]
+    + [(command, flag, value) for command in ("build-index", "ablate") for flag, value in RETRIEVER_VALUES],
+)
+def test_out_of_range_config_value_exits_2(trained_workflow, capsys, command, flag, value):
+    capsys.readouterr()
+    assert main([command, *workflow_flags(trained_workflow), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

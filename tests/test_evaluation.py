@@ -1,10 +1,15 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from lexlink.corpus import Dataset, MentionRecord
 from lexlink.ensemble import Prediction
-from lexlink.errors import LengthMismatch
+from lexlink.errors import LengthMismatch, MentionTooLong
 from lexlink.evaluation import (
     AccuracyReport,
     RecallReport,
@@ -16,7 +21,7 @@ from lexlink.evaluation import (
     run_ablation,
     write_json_report,
 )
-from lexlink.pipeline import RERANKER_ONLY, Pipeline
+from lexlink.pipeline import RERANKER_ONLY, TOGGLES, Pipeline
 from lexlink.reranker import DualEncoder, EncoderConfig, precompute_entity_embeddings, rerank
 from lexlink.retriever import RetrievalResult, Retriever, RetrieverConfig, merge_coarse
 from lexlink.synth import SynthSpec, build_synthetic
@@ -230,3 +235,100 @@ def test_desc_recall_never_drops_when_k_desc_grows():
         value = recall_report(results, golds).stages["desc_bm25"][10]
         assert value >= previous
         previous = value
+
+
+# -- one link per mention ----------------------------------------------------
+
+
+def mixed_mention(doc_id: str, first: str, second: str, gold_id: str) -> MentionRecord:
+    surface = f"{first} {second}"
+    return MentionRecord(
+        doc_id=doc_id, text=f"about {surface} today", span_start=6, span_end=6 + len(surface),
+        mention=surface, gold_id=gold_id,
+    )
+
+
+def table(reports):
+    return [report.to_json_object() for report in reports]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_entities=st.integers(3, 20),
+    ambiguity=st.sampled_from((0.0, 0.3, 0.6, 1.0)),
+    tail=st.sampled_from((0.0, 0.4, 1.0)),
+    ks=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    expansion=st.sampled_from(("all", "best")),
+    mixes=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)), max_size=5),
+    order=st.permutations(TOGGLES),
+)
+def test_ablation_equals_the_five_pass_reference(seed, n_entities, ambiguity, tail, ks, expansion, mixes, order):
+    spec = SynthSpec(
+        seed=seed, n_entities=n_entities, n_aliases=2 * n_entities, n_mentions=10,
+        ambiguity_rate=ambiguity, tail_rate=tail,
+    )
+    k_at, k_kb, k_desc = ks
+    pipeline, ds = make_pipeline(
+        spec, RetrieverConfig(k_at=k_at, k_kb=k_kb, k_desc=k_desc, alias_expansion=expansion)
+    )
+    # Two surface forms in one mention give coarse lists that overlap only in part.
+    surfaces = [entry.alias for entry in pipeline.retriever.alias_table.entries]
+    ids = [entity.id for entity in pipeline.kb.entities]
+    ds = Dataset(records=ds.records + [
+        mixed_mention(f"mix{i}", surfaces[a % len(surfaces)], surfaces[b % len(surfaces)], ids[a % len(ids)])
+        for i, (a, b) in enumerate(mixes)
+    ])
+
+    want = table(oracles.run_ablation(pipeline, ds))
+    for size in range(len(TOGGLES) + 1):
+        for subset in itertools.combinations(TOGGLES, size):
+            toggles = [t for t in order if t in subset]
+            rows = [want[0]] + [row for toggle, row in zip(TOGGLES, want[1:]) if toggle in subset]
+            assert table(run_ablation(pipeline, ds, toggles)) == rows
+            for record in ds.records:
+                assert pipeline.link(record, frozenset(subset)) == oracles.link(pipeline, record, frozenset(subset))
+    for record in ds.records:
+        assert pipeline.ablate(record, TOGGLES) == [
+            oracles.link(pipeline, record, frozenset(disabled)) for disabled in [(), *((t,) for t in TOGGLES)]
+        ]
+
+
+def test_ablation_links_each_record_once():
+    pipeline, ds = make_pipeline(SynthSpec(seed=41, n_entities=20, n_aliases=30, n_mentions=25))
+    calls = 0
+    link = pipeline.link
+
+    def counting_link(record, disabled=frozenset()):
+        nonlocal calls
+        calls += 1
+        return link(record, disabled=disabled)
+
+    pipeline.link = counting_link  # shadows the method, as the benchmark's pass counter does
+    run_ablation(pipeline, ds)
+    assert calls == len(ds.records)
+
+
+@pytest.mark.parametrize("k", [0, 6, 11])
+def test_ablation_raises_what_the_five_pass_reference_raises(k):
+    pipeline, ds = make_pipeline(SynthSpec(seed=43, n_entities=15, n_aliases=25, n_mentions=12))
+    records = list(ds.records)
+    long_surface = " ".join([records[k].mention] * ENCODER.max_len)
+    records[k] = mixed_mention("long", long_surface, records[k].mention, records[k].gold_id)
+    dataset = Dataset(records=records)
+    with pytest.raises(MentionTooLong) as want:
+        oracles.run_ablation(pipeline, dataset)
+    with pytest.raises(MentionTooLong) as got:
+        run_ablation(pipeline, dataset)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_record_without_candidates_is_no_vote_in_every_row():
+    pipeline, ds = make_pipeline(SynthSpec(seed=47, n_entities=10, n_aliases=15, n_mentions=5))
+    lone = mixed_mention("none", "zzqx", "qqzx", ds.records[0].gold_id)
+    reports = run_ablation(pipeline, Dataset(records=[lone]))
+    assert len(reports) == 1 + len(TOGGLES)
+    for report in reports:
+        assert report.decided_by == {"no_vote": 1}
+        assert report.accuracy == 0.0
