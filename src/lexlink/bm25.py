@@ -13,16 +13,12 @@ excluded from rankings and tie-breaking stays well defined.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import ArtifactFormatError, DocOutOfRange
+from .errors import DocOutOfRange
 from .tokenizer import TokenStream
-
-FORMAT_TAG = "lexlink.bm25-index/1"
 
 
 @dataclass(frozen=True)
@@ -115,31 +111,27 @@ class Bm25Index:
         return [ScoredDoc(doc_index=d, score=s) for d, s in ranked]
 
     def to_dict(self) -> dict:
+        """Postings and document lengths; ``k1`` and ``b`` are not stored, they
+        come from the configuration at load time."""
         return {
-            "format": FORMAT_TAG,
-            "k1": self.params.k1,
-            "b": self.params.b,
             "doc_lengths": self.doc_lengths,
             "postings": {token: [[d, f] for d, f in posting] for token, posting in self.postings.items()},
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "Bm25Index":
-        if obj.get("format") != FORMAT_TAG:
-            raise ArtifactFormatError(f"expected {FORMAT_TAG!r}, got {obj.get('format')!r}")
-        postings = {
-            token: [(int(d), int(f)) for d, f in posting]
-            for token, posting in obj["postings"].items()
-        }
-        return cls(postings, [int(n) for n in obj["doc_lengths"]], Bm25Params(k1=obj["k1"], b=obj["b"]))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), ensure_ascii=False) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "Bm25Index":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ArtifactFormatError(f"{path}: not a JSON index artifact: {exc.msg}") from exc
-        return cls.from_dict(obj)
+    def from_dict(cls, obj: dict, params: Bm25Params) -> "Bm25Index":
+        """Inverse of ``to_dict``, scored with ``params``. Raises ``ValueError``
+        for a posting outside the corpus or with a term frequency below 1, and
+        for document lengths that are not the sums of their postings."""
+        doc_lengths = [int(n) for n in obj["doc_lengths"]]
+        totals = [0] * len(doc_lengths)
+        postings: dict[str, list[tuple[int, int]]] = {}
+        for token, posting in obj["postings"].items():
+            postings[token] = [(int(d), int(f)) for d, f in posting]
+            for d, f in postings[token]:
+                if not 0 <= d < len(totals) or f < 1:
+                    raise ValueError(f"posting {[d, f]} of {token!r} is outside {len(totals)} documents or has tf < 1")
+                totals[d] += f
+        if totals != doc_lengths:
+            raise ValueError("document lengths differ from the sums of their postings")
+        return cls(postings, doc_lengths, params)

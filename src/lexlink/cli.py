@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ENV_CONFIG_VAR, PipelineConfig, load_config
+from .config import ENV_CONFIG_VAR, FIELD_TYPES, PipelineConfig, load_config
 from .corpus import load_alias_table, load_knowledge_base, load_mentions, validate, Dataset
 from .errors import DataError
 from .evaluation import (
@@ -26,29 +26,17 @@ from .reranker import DualEncoder, EntityEmbeddingStore, precompute_entity_embed
 from .retriever import Retriever
 from .synth import SynthSpec, generate_synthetic
 
-_CONFIG_FLAGS = [
-    ("kb", str), ("aliases", str), ("train_mentions", str), ("eval_mentions", str),
-    ("at_index", str), ("kb_index", str), ("model", str), ("store", str),
-    ("predictions", str), ("report_dir", str),
-    ("k_at", int), ("k_kb", int), ("k_desc", int),
-    ("bm25_k1", float), ("bm25_b", float), ("alias_expansion", str),
-    ("dim", int), ("hash_buckets", int), ("ngram_orders", str), ("max_len", int),
-    ("learning_rate", float), ("epochs", int), ("batch_size", int), ("negatives", int),
-    ("seed", int),
-]
-
-
 def _common_parser() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", help=f"config file path (or ${ENV_CONFIG_VAR})")
-    for name, kind in _CONFIG_FLAGS:
+    for name, kind in FIELD_TYPES.items():
         parent.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
     return parent
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     path = args.config or os.environ.get(ENV_CONFIG_VAR)
-    overrides = {name: getattr(args, name) for name, _ in _CONFIG_FLAGS}
+    overrides = {name: getattr(args, name) for name in FIELD_TYPES}
     return load_config(path, overrides)
 
 

@@ -103,17 +103,9 @@ class PipelineConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-
-
-def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    text = raw.strip()
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
+# Every config key and the type of its value, in field order; the CLI makes
+# one flag of each.
+FIELD_TYPES = {f.name: type(f.default) for f in fields(PipelineConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -127,10 +119,10 @@ def parse_config_file(path) -> dict:
             raise DataError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise DataError(f"{path}:{line_no}: unknown config key {key!r}")
         try:
-            overrides[key] = _coerce(key, value)
+            overrides[key] = FIELD_TYPES[key](value.strip())
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from exc
     return overrides

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .artifacts import read_container, write_container
+from .artifacts import decoding, read_container, write_container
 from .corpus import Dataset, EntityRecord, KnowledgeBase, MentionRecord
 from .errors import (
     DimensionMismatch,
@@ -223,47 +223,29 @@ class DualEncoder:
         return encode(build_entity_sequence(e, self.cfg), self.entity_params, self.cfg)
 
     def save(self, path) -> None:
-        meta = {
-            "encoder_config": {
-                "dim": self.cfg.dim,
-                "hash_buckets": self.cfg.hash_buckets,
-                "ngram_orders": list(self.cfg.ngram_orders),
-                "max_len": self.cfg.max_len,
-                "seed": self.cfg.seed,
-            },
-            "train_seed": self.train_seed,
-        }
+        meta = {"encoder_config": asdict(self.cfg), "train_seed": self.train_seed}
         arrays = {
-            "mention.embedding": self.mention_params.embedding,
-            "mention.projection": self.mention_params.projection,
-            "mention.bias": self.mention_params.bias,
-            "entity.embedding": self.entity_params.embedding,
-            "entity.projection": self.entity_params.projection,
-            "entity.bias": self.entity_params.bias,
+            f"{side}.{name}": getattr(params, name)
+            for side, params in (("mention", self.mention_params), ("entity", self.entity_params))
+            for name in ("embedding", "projection", "bias")
         }
         write_container(path, MODEL_FORMAT_TAG, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "DualEncoder":
         meta, arrays = read_container(path, MODEL_FORMAT_TAG)
-        raw = meta["encoder_config"]
-        cfg = EncoderConfig(
-            dim=int(raw["dim"]),
-            hash_buckets=int(raw["hash_buckets"]),
-            ngram_orders=tuple(int(n) for n in raw["ngram_orders"]),
-            max_len=int(raw["max_len"]),
-            seed=int(raw["seed"]),
-        )
-        return cls(
-            mention_params=EncoderParams(
-                arrays["mention.embedding"], arrays["mention.projection"], arrays["mention.bias"]
-            ),
-            entity_params=EncoderParams(
-                arrays["entity.embedding"], arrays["entity.projection"], arrays["entity.bias"]
-            ),
-            cfg=cfg,
-            train_seed=meta.get("train_seed"),
-        )
+        with decoding(path):
+            # Every field is required: a default would silently change features.
+            cfg = EncoderConfig(**{f.name: meta["encoder_config"][f.name] for f in fields(EncoderConfig)})
+            shapes = {"embedding": (cfg.hash_buckets, cfg.dim), "projection": (cfg.dim, cfg.dim), "bias": (cfg.dim,)}
+            params = []
+            for side in ("mention", "entity"):
+                for name, shape in shapes.items():
+                    array = arrays[f"{side}.{name}"]
+                    if array.shape != shape:
+                        raise ValueError(f"array {side}.{name} has shape {array.shape}, expected {shape}")
+                params.append(EncoderParams(**{name: arrays[f"{side}.{name}"] for name in shapes}))
+            return cls(*params, cfg, train_seed=meta.get("train_seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -514,24 +496,20 @@ class EntityEmbeddingStore:
         return self.matrix[self._row_of[entity_id]]
 
     def save(self, path) -> None:
-        meta = {
-            "dim": int(self.matrix.shape[1]) if self.matrix.ndim == 2 else 0,
-            "rows": int(self.matrix.shape[0]),
-            "kb_fingerprint": self.kb_fingerprint,
-        }
-        write_container(path, STORE_FORMAT_TAG, meta, {"values": self.matrix})
+        write_container(path, STORE_FORMAT_TAG, {"kb_fingerprint": self.kb_fingerprint}, {"values": self.matrix})
 
     @classmethod
     def load(cls, path, kb: KnowledgeBase) -> "EntityEmbeddingStore":
         meta, arrays = read_container(path, STORE_FORMAT_TAG)
-        if meta["kb_fingerprint"] != kb.fingerprint():
-            raise StaleStore(
-                "entity store is stale: knowledge base changed since the store was computed"
-            )
-        matrix = arrays["values"]
-        if matrix.shape[0] != len(kb):
-            raise StaleStore(f"entity store has {matrix.shape[0]} rows for a KB of {len(kb)} entities")
-        return cls(matrix=matrix, entity_ids=[e.id for e in kb.entities], kb_fingerprint=meta["kb_fingerprint"])
+        with decoding(path):
+            if meta["kb_fingerprint"] != kb.fingerprint():
+                raise StaleStore(
+                    "entity store is stale: knowledge base changed since the store was computed"
+                )
+            matrix = arrays["values"]
+            if matrix.shape[0] != len(kb):
+                raise StaleStore(f"entity store has {matrix.shape[0]} rows for a KB of {len(kb)} entities")
+            return cls(matrix=matrix, entity_ids=[e.id for e in kb.entities], kb_fingerprint=meta["kb_fingerprint"])
 
 
 def precompute_entity_embeddings(model: DualEncoder, kb: KnowledgeBase) -> EntityEmbeddingStore:

@@ -9,18 +9,16 @@ descriptions, queried with the mention's document text.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
+from .artifacts import decoding, read_container, write_container
 from .bm25 import Bm25Index, Bm25Params
 from .corpus import AliasEntry, AliasTable, KnowledgeBase, MentionRecord
-from .errors import ArtifactFormatError
 from .tokenizer import tokenize
 
-AT_FORMAT_TAG = "lexlink.at-index/1"
-KB_FORMAT_TAG = "lexlink.kb-index/1"
+AT_FORMAT_TAG = "lexlink.at-index/2"
+KB_FORMAT_TAG = "lexlink.kb-index/2"
 
 # The fine stage queries with at most this many document tokens; mirrors the
 # encoder sequence cap.
@@ -182,48 +180,37 @@ class Retriever:
         return self.narrow(kb, mention.text, cand_at, cand_kb, [disabled])[0]
 
     def save(self, at_path, kb_path) -> None:
-        at_obj = {
-            "format": AT_FORMAT_TAG,
-            "index": self.at_index.to_dict(),
-            "entries": [
-                {"alias": e.alias, "entity_id": e.entity_id, "prior": e.prior}
-                for e in self.alias_rows
-            ],
-        }
-        kb_obj = {
-            "format": KB_FORMAT_TAG,
-            "index": self.kb_index.to_dict(),
-            "entity_ids": self.kb_rows,
-        }
-        Path(at_path).write_text(json.dumps(at_obj, ensure_ascii=False) + "\n", encoding="utf-8")
-        Path(kb_path).write_text(json.dumps(kb_obj, ensure_ascii=False) + "\n", encoding="utf-8")
+        """Each index as a container with no arrays: its postings and document
+        lengths plus the alias entries or entity ids of its documents."""
+        entries = [{"alias": e.alias, "entity_id": e.entity_id, "prior": e.prior} for e in self.alias_rows]
+        write_container(at_path, AT_FORMAT_TAG, {"index": self.at_index.to_dict(), "entries": entries}, {})
+        write_container(kb_path, KB_FORMAT_TAG, {"index": self.kb_index.to_dict(), "entity_ids": self.kb_rows}, {})
 
     @classmethod
     def load(cls, at_path, kb_path, config: RetrieverConfig = RetrieverConfig()) -> "Retriever":
-        at_obj = _read_json(at_path)
-        kb_obj = _read_json(kb_path)
-        if at_obj.get("format") != AT_FORMAT_TAG:
-            raise ArtifactFormatError(f"{at_path}: expected {AT_FORMAT_TAG!r}, got {at_obj.get('format')!r}")
-        if kb_obj.get("format") != KB_FORMAT_TAG:
-            raise ArtifactFormatError(f"{kb_path}: expected {KB_FORMAT_TAG!r}, got {kb_obj.get('format')!r}")
-        alias_table = AliasTable(
-            [AliasEntry(alias=e["alias"], entity_id=e["entity_id"], prior=float(e["prior"])) for e in at_obj["entries"]]
-        )
-        return cls(
-            Bm25Index.from_dict(at_obj["index"]),
-            Bm25Index.from_dict(kb_obj["index"]),
-            alias_table,
-            list(kb_obj["entity_ids"]),
-            config,
-        )
+        """Both indexes score with ``config.bm25_params``."""
+        at_meta, _ = read_container(at_path, AT_FORMAT_TAG)
+        kb_meta, _ = read_container(kb_path, KB_FORMAT_TAG)
+        # Ids are read as strings: one that is not cannot match the knowledge
+        # base, and must not reach the sets and dicts that hold candidates.
+        with decoding(at_path):
+            at_index = _index_of(at_meta, "entries", config)
+            alias_table = AliasTable(
+                AliasEntry(alias=str(e["alias"]), entity_id=str(e["entity_id"]), prior=float(e["prior"]))
+                for e in at_meta["entries"]
+            )
+        with decoding(kb_path):
+            kb_index = _index_of(kb_meta, "entity_ids", config)
+            kb_rows = [str(entity_id) for entity_id in kb_meta["entity_ids"]]
+        return cls(at_index, kb_index, alias_table, kb_rows, config)
+
+
+def _index_of(meta: dict, rows_key: str, config: RetrieverConfig) -> Bm25Index:
+    index = Bm25Index.from_dict(meta["index"], config.bm25_params)
+    if index.doc_count != len(meta[rows_key]):
+        raise ValueError(f"the index has {index.doc_count} documents but {len(meta[rows_key])} {rows_key}")
+    return index
 
 
 def _fine_query(doc_text: str) -> list[str]:
     return tokenize(doc_text)[:FINE_QUERY_TOKEN_LIMIT]
-
-
-def _read_json(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ArtifactFormatError(f"{path}: not a JSON artifact: {exc.msg}") from exc

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lexlink.bm25 import Bm25Index, Bm25Params
-from lexlink.errors import ArtifactFormatError, DocOutOfRange
+from lexlink.errors import DocOutOfRange
 
 from oracles import bm25_ranking, bm25_score
 
@@ -184,28 +184,3 @@ def test_top_k_prefix_property():
         assert top1 == top10[:1]
     else:
         assert top1 == []
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = random.Random(5)
-    docs = random_corpus(rng, max_docs=30)
-    index = Bm25Index.build(docs, Bm25Params(k1=1.2, b=0.4))
-    path = tmp_path / "index.json"
-    index.save(path)
-    reloaded = Bm25Index.load(path)
-    assert reloaded.postings == index.postings
-    assert reloaded.doc_lengths == index.doc_lengths
-    assert reloaded.params == index.params
-    tokens = [t for d in docs for t in d]
-    query = [rng.choice(tokens) for _ in range(3)]
-    assert reloaded.top_k(query, 10) == index.top_k(query, 10)
-
-
-def test_load_rejects_wrong_format_tag(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "something-else/9"}', encoding="utf-8")
-    with pytest.raises(ArtifactFormatError):
-        Bm25Index.load(path)

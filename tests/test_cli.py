@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexlink.cli import main
+from lexlink.cli import _resolve_config, build_parser, main
+from lexlink.config import ENV_CONFIG_VAR, PipelineConfig
 
 
 def split_mentions(data_dir: Path, train_count: int):
@@ -274,3 +280,171 @@ def test_out_of_range_config_value_exits_2(trained_workflow, capsys, command, fl
     assert main([command, *workflow_flags(trained_workflow), flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- config keys ---------------------------------------------------------------
+
+
+VALUES = {int: ("3", 3), float: ("0.5", 0.5), str: ("some/value", "some/value")}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+def test_every_config_field_is_a_flag_and_a_config_file_key(tmp_path, monkeypatch, name):
+    monkeypatch.delenv(ENV_CONFIG_VAR, raising=False)
+    defaults = asdict(PipelineConfig())
+    kind = type(defaults[name])
+    text, value = VALUES[kind]
+    flag = f"--{name.replace('_', '-')}"
+    config = tmp_path / "lexlink.cfg"
+    config.write_text(f"{name} = {text}\n", encoding="utf-8")
+    for argv in (["predict", flag, text], ["predict", "--config", str(config)]):
+        resolved = asdict(_resolve_config(build_parser().parse_args(argv)))
+        assert type(resolved[name]) is kind
+        assert resolved == {**defaults, name: value}
+    if kind is not str:
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["predict", flag, "x"])
+        assert info.value.code == 2
+
+
+# -- malformed artifacts -------------------------------------------------------
+
+
+def artifact_flags(root: Path) -> dict[str, Path]:
+    flags = workflow_flags(root)
+    paths = dict(zip(flags[::2], flags[1::2]))
+    return {flag: Path(paths[flag]) for flag in ("--at-index", "--kb-index", "--model", "--store")}
+
+
+def predict_with(root: Path, flag: str, content: bytes) -> tuple[int, str]:
+    """Run ``predict`` with the artifact behind ``flag`` replaced by
+    ``content``; return the exit code and stderr."""
+    mutant = root / "mutant" / artifact_flags(root)[flag].name
+    mutant.parent.mkdir(exist_ok=True)
+    mutant.write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([
+            "predict", *workflow_flags(root), flag, str(mutant),
+            "--predictions", str(mutant.parent / "predictions.jsonl"),
+        ])
+    return code, err.getvalue()
+
+
+def split_header(path: Path) -> tuple[object, bytes]:
+    head, _, payload = path.read_bytes().partition(b"\n")
+    return json.loads(head), payload
+
+
+def with_header(header, payload: bytes) -> bytes:
+    return json.dumps(header).encode("utf-8") + b"\n" + payload
+
+
+def lookup(value, keys):
+    for key in keys:
+        value = value[key]
+    return value
+
+
+def setting(keys, value):
+    def edit(header):
+        lookup(header, keys[:-1])[keys[-1]] = value
+        return header
+
+    return edit
+
+
+def removing(keys):
+    def edit(header):
+        del lookup(header, keys[:-1])[keys[-1]]
+        return header
+
+    return edit
+
+
+def previous_index_layout(header):
+    index = {"format": "lexlink.bm25-index/1", "k1": 1.5, "b": 7, **header["meta"]["index"]}
+    return {"format": "lexlink.at-index/1", "index": index, "entries": header["meta"]["entries"]}
+
+
+@pytest.mark.parametrize(
+    "flag,edit",
+    [
+        pytest.param("--at-index", lambda header: [header], id="at-index-is-a-list"),
+        pytest.param("--at-index", lambda header: {"format": header["format"]}, id="at-index-tag-only"),
+        pytest.param("--at-index", setting(("meta", "entries", 0, "prior"), "high"), id="non-numeric-prior"),
+        pytest.param("--at-index", previous_index_layout, id="previous-layout-with-b-7"),
+        pytest.param("--kb-index", setting(("meta", "index", "doc_lengths"), [1]), id="posting-out-of-range"),
+        pytest.param("--model", removing(("arrays",)), id="model-without-arrays"),
+        pytest.param("--model", lambda header: [header], id="model-header-is-a-list"),
+        pytest.param("--model", setting(("meta", "encoder_config", "dim"), 0), id="dim-0"),
+        pytest.param("--model", removing(("meta", "encoder_config", "ngram_orders")), id="config-without-ngram-orders"),
+        pytest.param("--model", setting(("arrays", 0, "shape"), [-2048, 16]), id="negative-shape"),
+        pytest.param("--model", setting(("meta", "encoder_config", "hash_buckets"), 4096), id="more-buckets-than-rows"),
+        pytest.param("--store", setting(("arrays", 0, "name"), "vectors"), id="store-array-renamed"),
+    ],
+)
+def test_malformed_artifact_exits_2_naming_it(trained_workflow, flag, edit):
+    header, payload = split_header(artifact_flags(trained_workflow)[flag])
+    code, err = predict_with(trained_workflow, flag, with_header(edit(header), payload))
+    assert code == 2
+    mutant = trained_workflow / "mutant" / artifact_flags(trained_workflow)[flag].name
+    assert err.startswith(f"error: {mutant}: ") and "Traceback" not in err
+
+
+def ids_as_lists(header):
+    meta = header["meta"]
+    for entry in meta.get("entries", []):
+        entry["entity_id"] = [entry["entity_id"]]
+    if "entity_ids" in meta:
+        meta["entity_ids"] = [[entity_id] for entity_id in meta["entity_ids"]]
+    return header
+
+
+@pytest.mark.parametrize("flag", ["--at-index", "--kb-index"])
+def test_an_entity_id_of_another_type_is_a_stale_index(trained_workflow, flag):
+    header, payload = split_header(artifact_flags(trained_workflow)[flag])
+    code, err = predict_with(trained_workflow, flag, with_header(ids_as_lists(header), payload))
+    assert code == 2
+    assert err.startswith("error: entity ") and "index no longer matches" in err
+
+
+def json_type(value) -> str:
+    return {bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}.get(
+        type(value), "null"
+    )
+
+
+def locations(value, keys=()):
+    """The key path of every value nested in ``value``, its own first."""
+    yield keys
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from locations(child, (*keys, key))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag=st.sampled_from(["--at-index", "--kb-index", "--model", "--store"]), data=st.data())
+def test_a_mutated_artifact_exits_0_1_or_2_without_a_traceback(trained_workflow, flag, data):
+    raw = artifact_flags(trained_workflow)[flag].read_bytes()
+    header, payload = split_header(artifact_flags(trained_workflow)[flag])
+    mutation = data.draw(st.sampled_from(["truncate", "delete", "retype", "out-of-range"]))
+    if mutation == "truncate":
+        content = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        if mutation == "delete":
+            keys = data.draw(st.sampled_from([(key,) for key in header] + [("meta", key) for key in header["meta"]]))
+            removing(keys)(header)
+        elif mutation == "retype":
+            keys = data.draw(st.sampled_from(list(locations(header))[1:]))
+            old = json_type(lookup(header, keys))
+            value = data.draw(st.sampled_from([v for v in (None, True, 7, "x", [], {}) if json_type(v) != old]))
+            setting(keys, value)(header)
+        else:
+            keys = data.draw(st.sampled_from([k for k in locations(header) if type(lookup(header, k)) is int]))
+            old = lookup(header, keys)
+            setting(keys, data.draw(st.sampled_from([-(2**64), -1, 0, old - 1, old + 1, 2**64])))(header)
+        content = with_header(header, payload)
+    code, err = predict_with(trained_workflow, flag, content)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

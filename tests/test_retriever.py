@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
 from lexlink.bm25 import Bm25Params
 from lexlink.corpus import AliasEntry, AliasTable, EntityRecord, KnowledgeBase, MentionRecord
+from lexlink.errors import ArtifactFormatError
 from lexlink.retriever import (
     FINE_QUERY_TOKEN_LIMIT,
     Retriever,
@@ -278,3 +280,68 @@ def test_retriever_save_load_round_trip(tmp_path, fruit_kb, fruit_aliases):
     assert reloaded.retrieve(fruit_kb, m) == r.retrieve(fruit_kb, m)
     assert reloaded.kb_rows == r.kb_rows
     assert reloaded.alias_rows == r.alias_rows
+
+
+def test_save_load_round_trip_keeps_both_indexes(tmp_path):
+    rng = random.Random(5)
+    cfg = RetrieverConfig(bm25_params=Bm25Params(k1=1.2, b=0.4))
+    at_path, kb_path = tmp_path / "at.json", tmp_path / "kb.json"
+    for _ in range(10):
+        kb, aliases = random_world(rng, rng.randrange(1, 31), rng.randrange(1, 46))
+        built = Retriever.build(kb, aliases, cfg)
+        built.save(at_path, kb_path)
+        loaded = Retriever.load(at_path, kb_path, cfg)
+        for before, after in ((built.at_index, loaded.at_index), (built.kb_index, loaded.kb_index)):
+            assert after.postings == before.postings
+            assert after.doc_lengths == before.doc_lengths
+            assert after.norms == before.norms
+            assert after.params == before.params
+            query = [rng.choice([*sorted(before.postings), "absent"]) for _ in range(3)]
+            assert after.top_k(query, 10) == before.top_k(query, 10)
+
+
+def test_load_rejects_wrong_format_tag(tmp_path, retriever):
+    at_path, kb_path, bad = tmp_path / "at.json", tmp_path / "kb.json", tmp_path / "bad.json"
+    retriever.save(at_path, kb_path)
+    bad.write_text('{"format": "something-else/9"}', encoding="utf-8")
+    for paths, culprit, expected, got in (
+        ((bad, kb_path), bad, "lexlink.at-index/2", "something-else/9"),
+        ((at_path, bad), bad, "lexlink.kb-index/2", "something-else/9"),
+        ((kb_path, at_path), kb_path, "lexlink.at-index/2", "lexlink.kb-index/2"),
+    ):
+        with pytest.raises(ArtifactFormatError) as info:
+            Retriever.load(*paths)
+        assert str(info.value) == f"{culprit}: expected format {expected!r}, got {got!r}"
+
+
+def test_load_scores_with_the_configured_bm25_params(tmp_path, fruit_kb, fruit_aliases):
+    at_path, kb_path = tmp_path / "at.json", tmp_path / "kb.json"
+    Retriever.build(fruit_kb, fruit_aliases).save(at_path, kb_path)
+    cfg = RetrieverConfig(bm25_params=Bm25Params(b=0.2))
+    loaded = Retriever.load(at_path, kb_path, cfg)
+    assert loaded.at_index.params == loaded.kb_index.params == cfg.bm25_params
+    built = Retriever.build(fruit_kb, fruit_aliases, cfg)
+    assert loaded.at_index.norms == built.at_index.norms
+    assert loaded.kb_index.norms == built.kb_index.norms
+
+
+@pytest.mark.parametrize(
+    "culprit,edit,message",
+    [
+        ("kb", lambda meta: meta["entity_ids"].pop(), "3 documents but 2 entity_ids"),
+        ("at", lambda meta: meta["entries"].append(meta["entries"][0]), "5 documents but 6 entries"),
+        ("kb", lambda meta: meta["index"]["postings"]["apple"].append([3, 1]), "outside 3 documents"),
+        ("kb", lambda meta: meta["index"]["postings"]["apple"].append([-1, 1]), "outside 3 documents"),
+        ("at", lambda meta: meta["index"]["postings"]["banana"][0].__setitem__(1, 0), "tf < 1"),
+        ("at", lambda meta: meta["index"]["doc_lengths"].__setitem__(0, -1), "document lengths differ"),
+    ],
+)
+def test_load_rejects_an_index_that_contradicts_itself(tmp_path, retriever, culprit, edit, message):
+    paths = {"at": tmp_path / "at.json", "kb": tmp_path / "kb.json"}
+    retriever.save(paths["at"], paths["kb"])
+    header = json.loads(paths[culprit].read_text(encoding="utf-8"))
+    edit(header["meta"])
+    paths[culprit].write_text(json.dumps(header) + "\n", encoding="utf-8")
+    with pytest.raises(ArtifactFormatError, match=message) as info:
+        Retriever.load(paths["at"], paths["kb"])
+    assert str(info.value).startswith(f"{paths[culprit]}: malformed artifact (ValueError: ")
