@@ -13,11 +13,9 @@ from .corpus import (
     EntityRecord,
     KnowledgeBase,
     MentionRecord,
-    ValidationReport,
     load_alias_table,
     load_knowledge_base,
     load_mentions,
-    validate,
 )
 from .ensemble import Prediction, VoteInput, vote
 from .evaluation import (
@@ -80,7 +78,6 @@ __all__ = [
     "SynthSpec",
     "TrainConfig",
     "TrainStats",
-    "ValidationReport",
     "VoteInput",
     "accuracy",
     "build_entity_sequence",
@@ -100,6 +97,5 @@ __all__ = [
     "score_pair",
     "tokenize",
     "train",
-    "validate",
     "vote",
 ]

@@ -39,7 +39,7 @@ def write_container(path, tag: str, meta: dict, arrays: dict[str, np.ndarray]) -
     entries = []
     payload = []
     for name, array in arrays.items():
-        data = np.ascontiguousarray(array, dtype="<f8")
+        data = np.asarray(array, dtype="<f8")
         entries.append({"name": name, "shape": list(data.shape)})
         payload.append(data.tobytes())
     header = json.dumps({"format": tag, "meta": meta, "arrays": entries}, ensure_ascii=False)

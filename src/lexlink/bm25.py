@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DocOutOfRange
+from .errors import DocOutOfRange, InvalidConfig
 from .tokenizer import TokenStream
 
 
@@ -27,10 +27,10 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError(f"k1 must be > 0, got {self.k1}")
+        if not 0 < self.k1 < math.inf:
+            raise InvalidConfig(f"k1 must be finite and > 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
+            raise InvalidConfig(f"b must be in [0, 1], got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,8 @@ class Bm25Index:
         doc_lengths: list[int] = []
         for doc_index, doc in enumerate(docs):
             doc_lengths.append(len(doc))
-            counts = Counter(doc)
-            for token in _unique(doc):
-                postings.setdefault(token, []).append((doc_index, counts[token]))
+            for token, tf in Counter(doc).items():
+                postings.setdefault(token, []).append((doc_index, tf))
         return cls(postings, doc_lengths, params)
 
     def _idf(self, df: int) -> float:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import ENV_CONFIG_VAR, FIELD_TYPES, PipelineConfig, load_config
-from .corpus import load_alias_table, load_knowledge_base, load_mentions, validate, Dataset
+from .corpus import load_alias_table, load_knowledge_base, load_mentions
 from .errors import DataError
 from .evaluation import (
     accuracy_table_text,
@@ -21,7 +21,7 @@ from .evaluation import (
     run_ablation,
     write_json_report,
 )
-from .pipeline import TOGGLES, LinkedMention, Pipeline
+from .pipeline import TOGGLES, LinkedMention, Pipeline, check_toggles
 from .reranker import DualEncoder, EntityEmbeddingStore, precompute_entity_embeddings, train
 from .retriever import Retriever
 from .synth import SynthSpec, generate_synthetic
@@ -71,9 +71,6 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     kb = load_knowledge_base(cfg.kb)
     aliases = load_alias_table(cfg.aliases)
-    report = validate(kb, aliases, Dataset(records=[]))
-    if report.alias_misses:
-        raise DataError(f"alias table references unknown entities: {report.alias_misses[:10]}")
     retriever = Retriever.build(kb, aliases, cfg.retriever_config())
     _ensure_parent(cfg.at_index)
     _ensure_parent(cfg.kb_index)
@@ -86,11 +83,7 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     kb = load_knowledge_base(cfg.kb)
-    aliases = load_alias_table(cfg.aliases)
     dataset = load_mentions(cfg.train_mentions, split="train")
-    report = validate(kb, aliases, dataset)
-    if report.gold_misses:
-        raise DataError(f"training golds missing from the knowledge base: {report.gold_misses[:10]}")
     retriever = Retriever.load(cfg.at_index, cfg.kb_index, cfg.retriever_config())
     model, stats = train(dataset, kb, retriever, cfg.train_config(), cfg.encoder_config())
     _ensure_parent(cfg.model)
@@ -166,9 +159,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     toggles = tuple(part.strip() for part in args.toggles.split(",") if part.strip())
-    unknown = set(toggles).difference(TOGGLES)
-    if unknown:
-        raise DataError(f"unknown ablation toggles: {sorted(unknown)}; valid: {list(TOGGLES)}")
+    check_toggles(toggles)
     pipeline = _load_pipeline(cfg)
     dataset = load_mentions(cfg.eval_mentions)
     reports = run_ablation(pipeline, dataset, toggles)

@@ -8,30 +8,15 @@ training epoch.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .bm25 import Bm25Params
-from .errors import DataError
+from .errors import DataError, InvalidConfig
 from .reranker import EncoderConfig, TrainConfig
 from .retriever import RetrieverConfig
 
 ENV_CONFIG_VAR = "LEXLINK_CONFIG"
-
-
-def _invalid_value_is_data_error(build):
-    """Report a config value the component configs reject (out of range,
-    unparsable) as a ``DataError`` instead of a bare ``ValueError``."""
-
-    @functools.wraps(build)
-    def checked(self):
-        try:
-            return build(self)
-        except ValueError as exc:
-            raise DataError(f"invalid configuration: {exc}") from exc
-
-    return checked
 
 
 @dataclass
@@ -68,7 +53,6 @@ class PipelineConfig:
     # single seed; components derive their own sub-streams from it
     seed: int = 42
 
-    @_invalid_value_is_data_error
     def retriever_config(self) -> RetrieverConfig:
         return RetrieverConfig(
             k_at=self.k_at,
@@ -78,12 +62,11 @@ class PipelineConfig:
             alias_expansion=self.alias_expansion,
         )
 
-    @_invalid_value_is_data_error
     def encoder_config(self) -> EncoderConfig:
         try:
             orders = tuple(int(part) for part in str(self.ngram_orders).split(",") if part.strip())
         except ValueError:
-            raise ValueError(f"ngram_orders must be comma-separated integers, got {self.ngram_orders!r}") from None
+            raise InvalidConfig(f"ngram_orders must be comma-separated integers, got {self.ngram_orders!r}") from None
         return EncoderConfig(
             dim=self.dim,
             hash_buckets=self.hash_buckets,
@@ -92,7 +75,6 @@ class PipelineConfig:
             seed=self.seed,
         )
 
-    @_invalid_value_is_data_error
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.learning_rate,
@@ -110,8 +92,14 @@ FIELD_TYPES = {f.name: type(f.default) for f in fields(PipelineConfig)}
 
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines into override values."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line_no}: not valid UTF-8 ({exc.reason})") from exc
     overrides: dict = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

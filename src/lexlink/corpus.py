@@ -119,15 +119,22 @@ class Dataset:
 
 
 def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
+            try:
+                stripped = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(path, line_no, f"not valid UTF-8 ({exc.reason})") from exc
             if not stripped:
                 continue
             try:
                 obj = json.loads(stripped)
+                if "\\u" in stripped:  # an escape may stand for a lone surrogate, which UTF-8 cannot encode
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
             except json.JSONDecodeError as exc:
                 raise MalformedLine(path, line_no, exc.msg) from exc
+            except (RecursionError, ValueError) as exc:  # nested too deep, too many digits, a lone surrogate
+                raise MalformedLine(path, line_no, str(exc)) from exc
             if not isinstance(obj, dict):
                 raise MalformedLine(path, line_no, "not a JSON object")
             yield line_no, obj
@@ -271,8 +278,9 @@ class ValidationReport:
 def validate(kb: KnowledgeBase, at: AliasTable, ds: Dataset) -> ValidationReport:
     """Report every alias target and gold id that does not resolve in ``kb``.
 
-    Report-only: callers decide whether misses are fatal. Training refuses to
-    run when gold misses are nonzero; index building refuses on alias misses.
+    Report-only; nothing in the package calls it. ``Retriever.build`` refuses
+    alias misses and training refuses gold misses (``MissingGold``) where they
+    use them.
     """
     misses: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()

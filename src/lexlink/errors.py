@@ -16,6 +16,14 @@ class DataError(LexlinkError):
     """Invalid input data or a violated data contract."""
 
 
+class InvalidConfig(DataError, ValueError):
+    """A configuration value out of range or unparsable. Also a ``ValueError``,
+    so library callers may catch either."""
+
+    def __str__(self):
+        return f"invalid configuration: {super().__str__()}"
+
+
 class MalformedLine(DataError):
     def __init__(self, path, line_no: int, reason: str = ""):
         self.path = str(path)

@@ -1,5 +1,5 @@
 """End-to-end linking shared by the CLI and the evaluation harness:
-retrieve, rerank over the union of coarse and fine candidates, vote.
+retrieve, rerank Cand1 (the fine stage's Cand2 is a subset of it), vote.
 """
 
 from __future__ import annotations
@@ -9,8 +9,9 @@ from typing import Sequence
 
 from .corpus import Dataset, KnowledgeBase, MentionRecord
 from .ensemble import Prediction, VoteInput, vote
+from .errors import InvalidConfig
 from .reranker import DualEncoder, EntityEmbeddingStore, rerank
-from .retriever import RetrievalResult, Retriever, merge_coarse
+from .retriever import RetrievalResult, Retriever
 
 # Pipeline pieces that ablations may disable.
 TOGGLES = ("ensemble", "at_bm25", "kb_bm25", "desc_bm25")
@@ -21,10 +22,10 @@ RERANKER_ONLY = "reranker_only"
 
 
 def check_toggles(toggles) -> None:
-    """Raise ``ValueError`` naming any toggle outside ``TOGGLES``."""
+    """Raise ``InvalidConfig`` naming any toggle outside ``TOGGLES``."""
     unknown = set(toggles).difference(TOGGLES)
     if unknown:
-        raise ValueError(f"unknown toggles: {sorted(unknown)}")
+        raise InvalidConfig(f"unknown toggles: {sorted(unknown)}; valid: {list(TOGGLES)}")
 
 
 @dataclass
@@ -47,7 +48,7 @@ class Pipeline:
     def link(self, m: MentionRecord, disabled: frozenset[str] = frozenset()) -> LinkedMention:
         check_toggles(disabled)
         result = self.retriever.retrieve(self.kb, m, disabled=disabled)
-        reranked = rerank(self.model, self.store, m, merge_coarse(result.cand1, result.cand2))
+        reranked = rerank(self.model, self.store, m, result.cand1)
         return _decide(m, result, reranked, disabled)
 
     def ablate(self, m: MentionRecord, toggles: Sequence[str]) -> list[LinkedMention]:
@@ -74,7 +75,7 @@ class Pipeline:
         views = [lm]
         for toggle in toggles:
             result = results.get(toggle, lm.retrieval)
-            pool = set(merge_coarse(result.cand1, result.cand2))
+            pool = set(result.cand1)
             reranked = [pair for pair in lm.reranked if pair[0] in pool]
             views.append(_decide(m, result, reranked, frozenset((toggle,))))
         return views

@@ -32,13 +32,14 @@ from .corpus import Dataset, EntityRecord, KnowledgeBase, MentionRecord
 from .errors import (
     DimensionMismatch,
     EmptyKb,
+    InvalidConfig,
     MentionTooLong,
     MissingGold,
     NameTooLong,
     StaleStore,
     UnknownCandidate,
 )
-from .retriever import CandidateSet, Retriever, merge_coarse
+from .retriever import CandidateSet, Retriever
 from .tokenizer import tokenize
 
 MODEL_FORMAT_TAG = "lexlink.dual-encoder/1"
@@ -66,13 +67,13 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise InvalidConfig("dim must be >= 1")
         if self.hash_buckets < 1:
-            raise ValueError("hash_buckets must be >= 1")
+            raise InvalidConfig("hash_buckets must be >= 1")
         if self.max_len < 8:
-            raise ValueError("max_len must be >= 8")
+            raise InvalidConfig("max_len must be >= 8")
         if not self.ngram_orders or any(n < 1 for n in self.ngram_orders):
-            raise ValueError("ngram_orders must be non-empty positive integers")
+            raise InvalidConfig("ngram_orders must be non-empty positive integers")
         object.__setattr__(self, "ngram_orders", tuple(self.ngram_orders))
 
 
@@ -263,8 +264,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "epochs", "batch_size", "negatives_per_example"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -330,8 +331,7 @@ def build_training_examples(
         if record.gold_id not in kb:
             raise MissingGold(f"doc {record.doc_id!r}: gold id {record.gold_id!r} not in knowledge base")
         result = retriever.retrieve(kb, record)
-        pool = merge_coarse(result.cand1, result.cand2)
-        negatives = [eid for eid in pool if eid != record.gold_id][: tc.negatives_per_example]
+        negatives = [eid for eid in result.cand1 if eid != record.gold_id][: tc.negatives_per_example]
         chosen = set(negatives)
         chosen.add(record.gold_id)
         while len(negatives) < tc.negatives_per_example and len(chosen) < len(kb):

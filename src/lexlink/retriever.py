@@ -15,6 +15,7 @@ from typing import Sequence
 from .artifacts import decoding, read_container, write_container
 from .bm25 import Bm25Index, Bm25Params
 from .corpus import AliasEntry, AliasTable, KnowledgeBase, MentionRecord
+from .errors import DataError, InvalidConfig
 from .tokenizer import tokenize
 
 AT_FORMAT_TAG = "lexlink.at-index/2"
@@ -43,9 +44,9 @@ class RetrieverConfig:
     def __post_init__(self):
         for name in ("k_at", "k_kb", "k_desc"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise InvalidConfig(f"{name} must be >= 1")
         if self.alias_expansion not in _EXPANSION_MODES:
-            raise ValueError(f"alias_expansion must be one of {_EXPANSION_MODES}")
+            raise InvalidConfig(f"alias_expansion must be one of {_EXPANSION_MODES}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,11 @@ class Retriever:
     @classmethod
     def build(cls, kb: KnowledgeBase, at: AliasTable, config: RetrieverConfig = RetrieverConfig()) -> "Retriever":
         """One alias document per table entry (not deduplicated), one name
-        document per entity, both tokenized with the shared tokenizer."""
+        document per entity, both tokenized with the shared tokenizer. Every
+        alias must map to an entity of ``kb``."""
+        misses = list(dict.fromkeys(entry.entity_id for entry in at.entries if entry.entity_id not in kb))
+        if misses:
+            raise DataError(f"alias table references unknown entities: {misses[:10]}")
         at_index = Bm25Index.build([tokenize(entry.alias) for entry in at.entries], config.bm25_params)
         kb_index = Bm25Index.build([tokenize(entity.name) for entity in kb.entities], config.bm25_params)
         return cls(at_index, kb_index, at, [entity.id for entity in kb.entities], config)

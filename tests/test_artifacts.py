@@ -20,6 +20,9 @@ def test_round_trip_keeps_meta_names_shapes_and_bytes(tmp_path):
         "empty": np.zeros((0, 5)),
         "cube": np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4),
         "row": np.array([1.0, -0.0, np.inf, 1e-300]),
+        "scalar": np.array(2.5),
+        "strided": np.arange(20.0).reshape(4, 5)[:, ::2],
+        "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
     }
     path, again = tmp_path / "a.lxc", tmp_path / "b.lxc"
     write_container(path, "test/1", {"k": [1, "é"]}, arrays)

@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lexlink.cli import _resolve_config, build_parser, main
@@ -448,3 +448,84 @@ def test_a_mutated_artifact_exits_0_1_or_2_without_a_traceback(trained_workflow,
     code, err = predict_with(trained_workflow, flag, content)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# -- malformed input files -----------------------------------------------------
+
+# The command that reads each input file, and the base config file: every key
+# that the workflow flags leave to it.
+INPUT_COMMANDS = {"--kb": "build-index", "--aliases": "build-index", "--mentions": "predict", "--config": "predict"}
+BASE_CONFIG = {
+    "k_at": 10, "k_kb": 10, "k_desc": 10, "bm25_k1": 1.5, "bm25_b": 0.75, "alias_expansion": "all",
+    "ngram_orders": "1,2,3", "learning_rate": 0.05, "batch_size": 64, "negatives": 7,
+}
+INVALID_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+DEEP = b"[" * 100_000
+
+
+def input_file(root: Path, flag: str) -> bytes:
+    if flag == "--config":
+        return "".join(f"{key} = {value}\n" for key, value in BASE_CONFIG.items()).encode("utf-8")
+    name = {"--kb": "kb.jsonl", "--aliases": "aliases.jsonl", "--mentions": "eval.jsonl"}[flag]
+    return (root / "data" / name).read_bytes()
+
+
+def mutated_json_line(data, line: bytes, mutation: str) -> bytes:
+    obj = json.loads(line)
+    if mutation == "retype":
+        keys = data.draw(st.sampled_from(list(locations(obj))[1:]))
+        old = json_type(lookup(obj, keys))
+        value = data.draw(st.sampled_from([v for v in (None, True, 7, "x", [], {}) if json_type(v) != old]))
+    else:
+        numbers = [k for k in locations(obj) if type(lookup(obj, k)) in (int, float)]
+        assume(numbers)
+        keys = data.draw(st.sampled_from(numbers))
+        old = lookup(obj, keys)
+        value = data.draw(st.sampled_from([-(2**64), -1, 0, old - 1, old + 1, 2**64]))
+    setting(keys, value)(obj)
+    return json.dumps(obj, ensure_ascii=False).encode("utf-8") + b"\n"
+
+
+def mutated_config_line(data, line: bytes, mutation: str) -> bytes:
+    key = line.decode("utf-8").partition(" =")[0]
+    if mutation == "retype":
+        value = data.draw(st.sampled_from(["x", "", "[]", "1.5", "true", "1,,2"]))
+    else:
+        assume(key != "alias_expansion")
+        value = data.draw(st.sampled_from(["0", "-1", "-0.5", "2", str(2**64), str(-(2**64)), "1e999", "nan"]))
+    return f"{key} = {value}\n".encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag=st.sampled_from(list(INPUT_COMMANDS)), data=st.data())
+def test_a_mutated_input_file_exits_0_1_or_2_without_a_traceback(trained_workflow, flag, data):
+    raw = input_file(trained_workflow, flag)
+    mutation = data.draw(st.sampled_from(["truncate", "invalid-utf8", "deep", "retype", "out-of-range"]))
+    if mutation == "truncate":
+        content = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    elif mutation == "invalid-utf8":
+        at = data.draw(st.integers(0, len(raw)))
+        content = raw[:at] + data.draw(st.sampled_from(INVALID_UTF8)) + raw[at:]
+    else:
+        lines = raw.splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if mutation == "deep":
+            lines[i] = DEEP + b"\n" if flag != "--config" else lines[i].rstrip(b"\n") + DEEP + b"\n"
+        elif flag == "--config":
+            lines[i] = mutated_config_line(data, lines[i], mutation)
+        else:
+            lines[i] = mutated_json_line(data, lines[i], mutation)
+        content = b"".join(lines)
+    out = trained_workflow / "mutant-input"
+    out.mkdir(exist_ok=True)
+    mutant = out / flag.lstrip("-")
+    mutant.write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([
+            INPUT_COMMANDS[flag], *workflow_flags(trained_workflow), flag, str(mutant),
+            "--at-index", str(out / "at_index.json"), "--kb-index", str(out / "kb_index.json"),
+            "--predictions", str(out / "predictions.jsonl"),
+        ])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

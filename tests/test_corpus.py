@@ -193,6 +193,44 @@ def test_codepoint_spans_property_over_mixed_scripts(tmp_path):
         assert record.text[record.span_start:record.span_end] == record.mention
 
 
+# -- undecodable lines --------------------------------------------------------
+
+LOADERS = {
+    "kb": (load_knowledge_base, {"id": "Q1", "name": "a", "desc": "d"}),
+    "aliases": (load_alias_table, {"alias": "a", "entity_id": "Q1", "prior": 0.5}),
+    "mentions": (load_mentions, {"doc_id": "d", "text": "ab", "start": 0, "end": 1, "mention": "a", "gold_id": "Q1"}),
+}
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@pytest.mark.parametrize("bad,reason", [
+    pytest.param(b"\xff\xfe", "not valid UTF-8", id="invalid-start-byte"),
+    pytest.param(b'{"x": "\xc3"}', "not valid UTF-8", id="cut-sequence"),
+    pytest.param(b"[" * 100_000, "recursion", id="nested-too-deep"),
+    pytest.param(b'{"x": ' + b"1" * 5000 + b"}", "digits", id="too-many-digits"),
+])
+def test_an_undecodable_line_is_malformed_naming_its_line(tmp_path, kind, bad, reason):
+    load, good = LOADERS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_bytes(json.dumps(good).encode("utf-8") + b"\n\n" + bad + b"\n")
+    with pytest.raises(MalformedLine) as err:
+        load(path)
+    assert err.value.line_no == 3 and err.value.path == str(path)
+    assert reason in str(err.value)
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_a_lone_surrogate_is_malformed_and_a_surrogate_pair_is_not(tmp_path, kind):
+    load, good = LOADERS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps({**good, "note": "\u00e9\U0001F600"}) + "\n", encoding="utf-8")  # as \u escapes
+    load(path)
+    for key in [key for key, value in good.items() if isinstance(value, str)] + ["note"]:
+        path.write_text(json.dumps({**good, key: "\udc80"}) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match="surrogates not allowed"):
+            load(path)
+
+
 # -- validation --------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from lexlink.bm25 import Bm25Params
 from lexlink.corpus import AliasEntry, AliasTable, EntityRecord, KnowledgeBase, MentionRecord
-from lexlink.errors import ArtifactFormatError
+from lexlink.errors import ArtifactFormatError, DataError
 from lexlink.retriever import (
     FINE_QUERY_TOKEN_LIMIT,
     Retriever,
@@ -49,6 +49,17 @@ def test_build_empty_alias_table(fruit_kb):
     cand_at, cand_kb = r.retrieve_coarse("Apple")
     assert cand_at == []
     assert cand_kb
+
+
+def test_build_rejects_alias_targets_missing_from_the_kb(fruit_kb):
+    ghosts = [f"G{n}" for n in (3, 1, 3, 2, 12, 11, 10, 9, 8, 7, 6, 5, 4)]
+    at = AliasTable([AliasEntry(alias="Apple", entity_id="Q1", prior=0.1)] + [
+        AliasEntry(alias=f"ghost{i}", entity_id=entity_id, prior=0.5) for i, entity_id in enumerate(ghosts)
+    ])
+    with pytest.raises(DataError) as info:
+        Retriever.build(fruit_kb, at)
+    # The first ten distinct missing ids, in table order.
+    assert str(info.value) == f"alias table references unknown entities: {list(dict.fromkeys(ghosts))[:10]}"
 
 
 def test_duplicate_alias_strings_stay_separate_documents(fruit_kb, fruit_aliases):
