@@ -2,10 +2,11 @@
 
 Layout: one UTF-8 JSON header line (format tag, free-form metadata, array
 names and shapes) followed by the arrays' raw little-endian float64 bytes in
-header order. The AT and KB indexes keep everything in the metadata and carry
-no arrays, so each is a single line of valid JSON; the model and the entity
-store carry float64 arrays. The writer is fully deterministic, so identical
-inputs produce byte-identical files.
+header order. The AT and KB indexes carry no arrays, so each is a single line
+of valid JSON: their metadata holds the rows the index is built from (alias
+entries; entity ids and names), and loading one builds the index again. The
+model and the entity store carry float64 arrays. The writer is fully
+deterministic, so identical inputs produce byte-identical files.
 
 ``read_container`` is the only reader and the only place a format tag is
 checked. Code that decodes the metadata or arrays it returns runs inside

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DocOutOfRange, InvalidConfig
@@ -45,7 +44,9 @@ def _unique(tokens: TokenStream) -> list[str]:
 
 
 class Bm25Index:
-    """Immutable inverted index; safe for concurrent queries once built."""
+    """Immutable inverted index, made by ``build`` and never written to disk:
+    the index artifacts hold the rows it is built from, and loading one builds
+    it again. Safe for concurrent queries."""
 
     def __init__(self, postings: dict[str, list[tuple[int, int]]], doc_lengths: list[int], params: Bm25Params):
         self.postings = postings
@@ -60,11 +61,17 @@ class Bm25Index:
 
     @classmethod
     def build(cls, docs: list[TokenStream], params: Bm25Params = Bm25Params()) -> "Bm25Index":
+        """One document per token stream. Each term's posting lists its
+        documents in ascending order; terms keep first-occurrence order."""
         postings: dict[str, list[tuple[int, int]]] = {}
         doc_lengths: list[int] = []
         for doc_index, doc in enumerate(docs):
             doc_lengths.append(len(doc))
-            for token, tf in Counter(doc).items():
+            # Linear like a Counter, and cheaper for short names and aliases.
+            tfs = dict.fromkeys(doc, 0)
+            for token in doc:
+                tfs[token] += 1
+            for token, tf in tfs.items():
                 postings.setdefault(token, []).append((doc_index, tf))
         return cls(postings, doc_lengths, params)
 
@@ -108,29 +115,3 @@ class Bm25Index:
             key=lambda item: (-item[1], item[0]),
         )
         return [ScoredDoc(doc_index=d, score=s) for d, s in ranked]
-
-    def to_dict(self) -> dict:
-        """Postings and document lengths; ``k1`` and ``b`` are not stored, they
-        come from the configuration at load time."""
-        return {
-            "doc_lengths": self.doc_lengths,
-            "postings": {token: [[d, f] for d, f in posting] for token, posting in self.postings.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict, params: Bm25Params) -> "Bm25Index":
-        """Inverse of ``to_dict``, scored with ``params``. Raises ``ValueError``
-        for a posting outside the corpus or with a term frequency below 1, and
-        for document lengths that are not the sums of their postings."""
-        doc_lengths = [int(n) for n in obj["doc_lengths"]]
-        totals = [0] * len(doc_lengths)
-        postings: dict[str, list[tuple[int, int]]] = {}
-        for token, posting in obj["postings"].items():
-            postings[token] = [(int(d), int(f)) for d, f in posting]
-            for d, f in postings[token]:
-                if not 0 <= d < len(totals) or f < 1:
-                    raise ValueError(f"posting {[d, f]} of {token!r} is outside {len(totals)} documents or has tf < 1")
-                totals[d] += f
-        if totals != doc_lengths:
-            raise ValueError("document lengths differ from the sums of their postings")
-        return cls(postings, doc_lengths, params)

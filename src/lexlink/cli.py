@@ -10,10 +10,11 @@ import argparse
 import json
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from .config import ENV_CONFIG_VAR, FIELD_TYPES, PipelineConfig, load_config
-from .corpus import load_alias_table, load_knowledge_base, load_mentions
+from .corpus import KnowledgeBase, load_alias_table, load_knowledge_base, load_mentions
 from .errors import DataError
 from .evaluation import (
     accuracy_table_text,
@@ -44,9 +45,23 @@ def _ensure_parent(path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
+def _load_retriever(cfg: PipelineConfig, kb: KnowledgeBase) -> Retriever:
+    """The stored retriever, refused unless its KB index holds the ``(id, name)``
+    rows of ``kb`` in order. An edit to the alias file, which is not read, goes unnoticed."""
+    retriever = Retriever.load(cfg.at_index, cfg.kb_index, cfg.retriever_config())
+    rows = [(entity.id, entity.name) for entity in kb.entities]
+    if retriever.kb_rows != rows:
+        stale = next((a or b)[0] for a, b in zip_longest(retriever.kb_rows, rows) if a != b)
+        raise DataError(
+            f"{cfg.kb_index}: stale KB index: entity {stale!r} differs in {cfg.kb}, so the index no longer"
+            " matches the knowledge base; rerun build-index"
+        )
+    return retriever
+
+
 def _load_pipeline(cfg: PipelineConfig) -> Pipeline:
     kb = load_knowledge_base(cfg.kb)
-    retriever = Retriever.load(cfg.at_index, cfg.kb_index, cfg.retriever_config())
+    retriever = _load_retriever(cfg, kb)
     model = DualEncoder.load(cfg.model)
     store = EntityEmbeddingStore.load(cfg.store, kb)
     return Pipeline(kb=kb, retriever=retriever, model=model, store=store)
@@ -84,7 +99,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     kb = load_knowledge_base(cfg.kb)
     dataset = load_mentions(cfg.train_mentions, split="train")
-    retriever = Retriever.load(cfg.at_index, cfg.kb_index, cfg.retriever_config())
+    retriever = _load_retriever(cfg, kb)
     model, stats = train(dataset, kb, retriever, cfg.train_config(), cfg.encoder_config())
     _ensure_parent(cfg.model)
     model.save(cfg.model)

@@ -45,6 +45,10 @@ from .tokenizer import tokenize
 MODEL_FORMAT_TAG = "lexlink.dual-encoder/1"
 STORE_FORMAT_TAG = "lexlink.entity-store/1"
 
+# Largest (hash_buckets + dim) * dim accepted: the float64 embedding table and
+# projection of one of the model's two encoders, 1 GiB at this limit.
+MAX_ENCODER_CELLS = 2**27
+
 # Reserved marker tokens. Real tokens are lowercase alphanumeric runs or CJK
 # characters, so the brackets guarantee no collision.
 MENTION_START = "[M_START]"
@@ -70,6 +74,11 @@ class EncoderConfig:
             raise InvalidConfig("dim must be >= 1")
         if self.hash_buckets < 1:
             raise InvalidConfig("hash_buckets must be >= 1")
+        if (self.hash_buckets + self.dim) * self.dim > MAX_ENCODER_CELLS:
+            raise InvalidConfig(
+                f"(hash_buckets + dim) * dim must be <= {MAX_ENCODER_CELLS}, got hash_buckets {self.hash_buckets},"
+                f" dim {self.dim}"
+            )
         if self.max_len < 8:
             raise InvalidConfig("max_len must be >= 8")
         if not self.ngram_orders or any(n < 1 for n in self.ngram_orders):
@@ -175,7 +184,8 @@ class EncoderParams:
 
 def _init_params(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
     # Embedding rows uniform in [-1/sqrt(dim), 1/sqrt(dim)]; projection starts
-    # near the identity so early scores reflect raw feature overlap.
+    # near the identity. The mention and entity tables are drawn from separate
+    # seed streams, so untrained scores carry no lexical signal.
     bound = 1.0 / math.sqrt(cfg.dim)
     embedding = rng.uniform(-bound, bound, size=(cfg.hash_buckets, cfg.dim))
     projection = np.eye(cfg.dim) + 1e-2 * rng.standard_normal((cfg.dim, cfg.dim))

@@ -18,8 +18,8 @@ from .corpus import AliasEntry, AliasTable, KnowledgeBase, MentionRecord
 from .errors import DataError, InvalidConfig
 from .tokenizer import tokenize
 
-AT_FORMAT_TAG = "lexlink.at-index/2"
-KB_FORMAT_TAG = "lexlink.kb-index/2"
+AT_FORMAT_TAG = "lexlink.at-index/3"
+KB_FORMAT_TAG = "lexlink.kb-index/3"
 
 # The fine stage queries with at most this many document tokens; mirrors the
 # encoder sequence cap.
@@ -73,34 +73,27 @@ def merge_coarse(cand_at: CandidateSet, cand_kb: CandidateSet) -> CandidateSet:
 
 
 class Retriever:
-    """Immutable two-index retriever; safe for concurrent queries."""
+    """Immutable two-index retriever; safe for concurrent queries. ``build``
+    and ``load`` both pass rows to the constructor, which builds the indexes."""
 
-    def __init__(
-        self,
-        at_index: Bm25Index,
-        kb_index: Bm25Index,
-        alias_table: AliasTable,
-        kb_rows: list[str],
-        config: RetrieverConfig,
-    ):
-        self.at_index = at_index
-        self.kb_index = kb_index
+    def __init__(self, alias_table: AliasTable, kb_rows: list[tuple[str, str]], config: RetrieverConfig):
+        """One alias document per table entry (not deduplicated), one name
+        document per ``(entity id, name)`` row, both tokenized with the shared
+        tokenizer. Every alias must map to an entity of ``kb_rows``."""
+        known = {entity_id for entity_id, _ in kb_rows}
+        misses = list(dict.fromkeys(entry.entity_id for entry in alias_table.entries if entry.entity_id not in known))
+        if misses:
+            raise DataError(f"alias table references unknown entities: {misses[:10]}")
+        self.at_index = Bm25Index.build([tokenize(entry.alias) for entry in alias_table.entries], config.bm25_params)
+        self.kb_index = Bm25Index.build([tokenize(name) for _, name in kb_rows], config.bm25_params)
         self.alias_table = alias_table
         self.alias_rows = alias_table.entries  # doc index -> AliasEntry
-        self.kb_rows = kb_rows  # doc index -> entity id
+        self.kb_rows = kb_rows  # doc index -> (entity id, name)
         self.config = config
 
     @classmethod
     def build(cls, kb: KnowledgeBase, at: AliasTable, config: RetrieverConfig = RetrieverConfig()) -> "Retriever":
-        """One alias document per table entry (not deduplicated), one name
-        document per entity, both tokenized with the shared tokenizer. Every
-        alias must map to an entity of ``kb``."""
-        misses = list(dict.fromkeys(entry.entity_id for entry in at.entries if entry.entity_id not in kb))
-        if misses:
-            raise DataError(f"alias table references unknown entities: {misses[:10]}")
-        at_index = Bm25Index.build([tokenize(entry.alias) for entry in at.entries], config.bm25_params)
-        kb_index = Bm25Index.build([tokenize(entity.name) for entity in kb.entities], config.bm25_params)
-        return cls(at_index, kb_index, at, [entity.id for entity in kb.entities], config)
+        return cls(at, [(entity.id, entity.name) for entity in kb.entities], config)
 
     def retrieve_coarse(self, mention: str) -> tuple[CandidateSet, CandidateSet]:
         query = tokenize(mention)
@@ -108,7 +101,7 @@ class Retriever:
             return [], []
 
         kb_hits = self.kb_index.top_k(query, self.config.k_kb) if self.kb_index.doc_count else []
-        cand_kb = [self.kb_rows[hit.doc_index] for hit in kb_hits]
+        cand_kb = [self.kb_rows[hit.doc_index][0] for hit in kb_hits]
 
         at_hits = self.at_index.top_k(query, self.config.k_at) if self.at_index.doc_count else []
         cand_at: CandidateSet = []
@@ -185,36 +178,32 @@ class Retriever:
         return self.narrow(kb, mention.text, cand_at, cand_kb, [disabled])[0]
 
     def save(self, at_path, kb_path) -> None:
-        """Each index as a container with no arrays: its postings and document
-        lengths plus the alias entries or entity ids of its documents."""
+        """Each index as a container with no arrays holding the rows it is
+        built from: the alias entries, and the ``(entity id, name)`` rows."""
         entries = [{"alias": e.alias, "entity_id": e.entity_id, "prior": e.prior} for e in self.alias_rows]
-        write_container(at_path, AT_FORMAT_TAG, {"index": self.at_index.to_dict(), "entries": entries}, {})
-        write_container(kb_path, KB_FORMAT_TAG, {"index": self.kb_index.to_dict(), "entity_ids": self.kb_rows}, {})
+        write_container(at_path, AT_FORMAT_TAG, {"entries": entries}, {})
+        write_container(kb_path, KB_FORMAT_TAG, {"entities": self.kb_rows}, {})
 
     @classmethod
     def load(cls, at_path, kb_path, config: RetrieverConfig = RetrieverConfig()) -> "Retriever":
-        """Both indexes score with ``config.bm25_params``."""
+        """``build`` over the stored rows; both indexes score with
+        ``config.bm25_params``."""
         at_meta, _ = read_container(at_path, AT_FORMAT_TAG)
         kb_meta, _ = read_container(kb_path, KB_FORMAT_TAG)
-        # Ids are read as strings: one that is not cannot match the knowledge
-        # base, and must not reach the sets and dicts that hold candidates.
+        # Ids and names are read as strings: another type cannot match the
+        # knowledge base, and must not reach the sets that hold candidates.
         with decoding(at_path):
-            at_index = _index_of(at_meta, "entries", config)
             alias_table = AliasTable(
                 AliasEntry(alias=str(e["alias"]), entity_id=str(e["entity_id"]), prior=float(e["prior"]))
                 for e in at_meta["entries"]
             )
         with decoding(kb_path):
-            kb_index = _index_of(kb_meta, "entity_ids", config)
-            kb_rows = [str(entity_id) for entity_id in kb_meta["entity_ids"]]
-        return cls(at_index, kb_index, alias_table, kb_rows, config)
-
-
-def _index_of(meta: dict, rows_key: str, config: RetrieverConfig) -> Bm25Index:
-    index = Bm25Index.from_dict(meta["index"], config.bm25_params)
-    if index.doc_count != len(meta[rows_key]):
-        raise ValueError(f"the index has {index.doc_count} documents but {len(meta[rows_key])} {rows_key}")
-    return index
+            kb_rows = [(str(entity_id), str(name)) for entity_id, name in kb_meta["entities"]]
+        # Both files decode, yet an alias entry may name an entity absent from the other.
+        try:
+            return cls(alias_table, kb_rows, config)
+        except DataError as exc:
+            raise DataError(f"{at_path} does not match {kb_path}: {exc}; rerun build-index") from None
 
 
 def _fine_query(doc_text: str) -> list[str]:

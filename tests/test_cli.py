@@ -155,6 +155,7 @@ def test_stale_store_exits_2(tmp_path, capsys):
     kb_path = tmp_path / "data" / "kb.jsonl"
     with open(kb_path, "a", encoding="utf-8") as fh:
         fh.write('{"id": "Qnew", "name": "brand new", "desc": "added later"}\n')
+    assert main(["build-index", *workflow_flags(tmp_path)]) == 0
     code = main(["predict", *workflow_flags(tmp_path)])
     assert code == 2
     assert "stale" in capsys.readouterr().err.lower()
@@ -180,6 +181,24 @@ def test_index_older_than_the_kb_exits_2_naming_the_entity(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert repr(gold) in err and "index no longer matches" in err
+
+
+def test_a_renamed_entity_is_a_stale_kb_index_until_build_index_reruns(tmp_path, capsys):
+    run_workflow(tmp_path)
+    flags = workflow_flags(tmp_path)
+    kb_path = tmp_path / "data" / "kb.jsonl"
+    lines = kb_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    entity = json.loads(lines[3])
+    lines[3] = json.dumps({**entity, "name": "renamed entity"}) + "\n"
+    kb_path.write_text("".join(lines), encoding="utf-8")
+    assert main(["embed-entities", *flags]) == 0
+    capsys.readouterr()
+    assert main(["predict", *flags]) == 2
+    err = capsys.readouterr().err
+    kb_index = tmp_path / "artifacts" / "kb_index.json"
+    assert err.startswith(f"error: {kb_index}: ") and repr(entity["id"]) in err and "rerun build-index" in err
+    assert main(["build-index", *flags]) == 0
+    assert main(["predict", *flags]) == 0
 
 
 def test_predict_on_empty_mentions_writes_empty_file(tmp_path):
@@ -267,7 +286,7 @@ def trained_workflow(tmp_path_factory):
 
 
 RETRIEVER_VALUES = [("--k-at", "0"), ("--k-desc", "0"), ("--alias-expansion", "bogus"), ("--bm25-b", "2")]
-MODEL_VALUES = [("--epochs", "0"), ("--dim", "0"), ("--ngram-orders", "x")]
+MODEL_VALUES = [("--epochs", "0"), ("--dim", "0"), ("--ngram-orders", "x"), ("--hash-buckets", str(10**15))]
 
 
 @pytest.mark.parametrize(
@@ -363,8 +382,10 @@ def removing(keys):
 
 
 def previous_index_layout(header):
-    index = {"format": "lexlink.bm25-index/1", "k1": 1.5, "b": 7, **header["meta"]["index"]}
-    return {"format": "lexlink.at-index/1", "index": index, "entries": header["meta"]["entries"]}
+    """The ``lexlink.at-index/2`` layout: postings and document lengths beside
+    the alias entries (here of empty documents)."""
+    index = {"doc_lengths": [0] * len(header["meta"]["entries"]), "postings": {}}
+    return {**header, "format": "lexlink.at-index/2", "meta": {"index": index, **header["meta"]}}
 
 
 @pytest.mark.parametrize(
@@ -373,8 +394,8 @@ def previous_index_layout(header):
         pytest.param("--at-index", lambda header: [header], id="at-index-is-a-list"),
         pytest.param("--at-index", lambda header: {"format": header["format"]}, id="at-index-tag-only"),
         pytest.param("--at-index", setting(("meta", "entries", 0, "prior"), "high"), id="non-numeric-prior"),
-        pytest.param("--at-index", previous_index_layout, id="previous-layout-with-b-7"),
-        pytest.param("--kb-index", setting(("meta", "index", "doc_lengths"), [1]), id="posting-out-of-range"),
+        pytest.param("--at-index", previous_index_layout, id="previous-layout-2"),
+        pytest.param("--kb-index", setting(("meta", "entities", 0), ["Q1", "a", "b"]), id="kb-row-not-a-pair"),
         pytest.param("--model", removing(("arrays",)), id="model-without-arrays"),
         pytest.param("--model", lambda header: [header], id="model-header-is-a-list"),
         pytest.param("--model", setting(("meta", "encoder_config", "dim"), 0), id="dim-0"),
@@ -396,8 +417,8 @@ def ids_as_lists(header):
     meta = header["meta"]
     for entry in meta.get("entries", []):
         entry["entity_id"] = [entry["entity_id"]]
-    if "entity_ids" in meta:
-        meta["entity_ids"] = [[entity_id] for entity_id in meta["entity_ids"]]
+    if "entities" in meta:
+        meta["entities"] = [[[entity_id], name] for entity_id, name in meta["entities"]]
     return header
 
 
@@ -406,7 +427,22 @@ def test_an_entity_id_of_another_type_is_a_stale_index(trained_workflow, flag):
     header, payload = split_header(artifact_flags(trained_workflow)[flag])
     code, err = predict_with(trained_workflow, flag, with_header(ids_as_lists(header), payload))
     assert code == 2
-    assert err.startswith("error: entity ") and "index no longer matches" in err
+    paths = artifact_flags(trained_workflow)
+    paths[flag] = trained_workflow / "mutant" / paths[flag].name
+    assert err.startswith(f"error: {paths['--at-index']} does not match {paths['--kb-index']}: alias table references")
+
+
+def test_an_alias_id_missing_from_the_kb_index_exits_2(trained_workflow):
+    flags = artifact_flags(trained_workflow)
+    header, payload = split_header(flags["--at-index"])
+    header["meta"]["entries"][0]["entity_id"] = "Qmissing"
+    code, err = predict_with(trained_workflow, "--at-index", with_header(header, payload))
+    assert code == 2
+    mutant = trained_workflow / "mutant" / flags["--at-index"].name
+    assert err == (
+        f"error: {mutant} does not match {flags['--kb-index']}: alias table references unknown entities:"
+        " ['Qmissing']; rerun build-index\n"
+    )
 
 
 def json_type(value) -> str:
@@ -441,7 +477,9 @@ def test_a_mutated_artifact_exits_0_1_or_2_without_a_traceback(trained_workflow,
             value = data.draw(st.sampled_from([v for v in (None, True, 7, "x", [], {}) if json_type(v) != old]))
             setting(keys, value)(header)
         else:
-            keys = data.draw(st.sampled_from([k for k in locations(header) if type(lookup(header, k)) is int]))
+            numbers = [k for k in locations(header) if type(lookup(header, k)) in (int, float)]
+            assume(numbers)
+            keys = data.draw(st.sampled_from(numbers))
             old = lookup(header, keys)
             setting(keys, data.draw(st.sampled_from([-(2**64), -1, 0, old - 1, old + 1, 2**64])))(header)
         content = with_header(header, payload)

@@ -17,6 +17,8 @@ REJECTED = {
     "alias_expansion": lambda: RetrieverConfig(alias_expansion="some"),
     "dim": lambda: EncoderConfig(dim=0),
     "hash_buckets": lambda: EncoderConfig(hash_buckets=0),
+    "hash_buckets_too_large": lambda: EncoderConfig(hash_buckets=10**15, dim=16),
+    "dim_too_large": lambda: EncoderConfig(hash_buckets=1, dim=2**14),
     "max_len": lambda: EncoderConfig(max_len=7),
     "ngram_orders": lambda: EncoderConfig(ngram_orders=(1, 0)),
     "batch_size": lambda: TrainConfig(batch_size=0),

@@ -1,11 +1,10 @@
-import json
 import random
 
 import pytest
 
 from lexlink.bm25 import Bm25Params
 from lexlink.corpus import AliasEntry, AliasTable, EntityRecord, KnowledgeBase, MentionRecord
-from lexlink.errors import ArtifactFormatError, DataError
+from lexlink.errors import ArtifactFormatError, DataError, StaleIndex
 from lexlink.retriever import (
     FINE_QUERY_TOKEN_LIMIT,
     Retriever,
@@ -316,9 +315,9 @@ def test_load_rejects_wrong_format_tag(tmp_path, retriever):
     retriever.save(at_path, kb_path)
     bad.write_text('{"format": "something-else/9"}', encoding="utf-8")
     for paths, culprit, expected, got in (
-        ((bad, kb_path), bad, "lexlink.at-index/2", "something-else/9"),
-        ((at_path, bad), bad, "lexlink.kb-index/2", "something-else/9"),
-        ((kb_path, at_path), kb_path, "lexlink.at-index/2", "lexlink.kb-index/2"),
+        ((bad, kb_path), bad, "lexlink.at-index/3", "something-else/9"),
+        ((at_path, bad), bad, "lexlink.kb-index/3", "something-else/9"),
+        ((kb_path, at_path), kb_path, "lexlink.at-index/3", "lexlink.kb-index/3"),
     ):
         with pytest.raises(ArtifactFormatError) as info:
             Retriever.load(*paths)
@@ -336,23 +335,12 @@ def test_load_scores_with_the_configured_bm25_params(tmp_path, fruit_kb, fruit_a
     assert loaded.kb_index.norms == built.kb_index.norms
 
 
-@pytest.mark.parametrize(
-    "culprit,edit,message",
-    [
-        ("kb", lambda meta: meta["entity_ids"].pop(), "3 documents but 2 entity_ids"),
-        ("at", lambda meta: meta["entries"].append(meta["entries"][0]), "5 documents but 6 entries"),
-        ("kb", lambda meta: meta["index"]["postings"]["apple"].append([3, 1]), "outside 3 documents"),
-        ("kb", lambda meta: meta["index"]["postings"]["apple"].append([-1, 1]), "outside 3 documents"),
-        ("at", lambda meta: meta["index"]["postings"]["banana"][0].__setitem__(1, 0), "tf < 1"),
-        ("at", lambda meta: meta["index"]["doc_lengths"].__setitem__(0, -1), "document lengths differ"),
-    ],
-)
-def test_load_rejects_an_index_that_contradicts_itself(tmp_path, retriever, culprit, edit, message):
-    paths = {"at": tmp_path / "at.json", "kb": tmp_path / "kb.json"}
-    retriever.save(paths["at"], paths["kb"])
-    header = json.loads(paths[culprit].read_text(encoding="utf-8"))
-    edit(header["meta"])
-    paths[culprit].write_text(json.dumps(header) + "\n", encoding="utf-8")
-    with pytest.raises(ArtifactFormatError, match=message) as info:
-        Retriever.load(paths["at"], paths["kb"])
-    assert str(info.value).startswith(f"{paths[culprit]}: malformed artifact (ValueError: ")
+def test_a_loaded_index_older_than_the_kb_raises_stale_index_naming_the_entity(tmp_path, retriever, fruit_kb):
+    at_path, kb_path = tmp_path / "at.json", tmp_path / "kb.json"
+    retriever.save(at_path, kb_path)
+    loaded = Retriever.load(at_path, kb_path)
+    newer = KnowledgeBase(entity for entity in fruit_kb if entity.id != "Q1")
+    with pytest.raises(StaleIndex) as info:
+        loaded.retrieve(newer, mention("an Apple a day", "Apple"))
+    assert info.value.entity_id == "Q1"
+    assert "'Q1'" in str(info.value) and "rerun build-index" in str(info.value)
