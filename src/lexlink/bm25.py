@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Collection
 
 from .errors import DocOutOfRange, InvalidConfig
 from .tokenizer import TokenStream
@@ -46,7 +47,13 @@ def _unique(tokens: TokenStream) -> list[str]:
 class Bm25Index:
     """Immutable inverted index, made by ``build`` and never written to disk:
     the index artifacts hold the rows it is built from, and loading one builds
-    it again. Safe for concurrent queries."""
+    it again. Safe for concurrent queries.
+
+    ``postings`` maps each term to its ``(doc index, tf)`` pairs.
+    ``contributions`` maps it to the same postings as one flat list,
+    ``[doc index, contribution, doc index, contribution, ...]``, where a
+    contribution is the term's summand in that document's score. They are
+    computed once here, so a query only adds floats."""
 
     def __init__(self, postings: dict[str, list[tuple[int, int]]], doc_lengths: list[int], params: Bm25Params):
         self.postings = postings
@@ -57,19 +64,34 @@ class Bm25Index:
         # Per-document length norm k1 * (1 - b + b * |d| / avgdl). An all-empty
         # corpus has no postings, so its norms are never read.
         k1, b, avgdl = params.k1, params.b, self.avg_doc_length or 1.0
-        self.norms = [k1 * (1.0 - b + b * n / avgdl) for n in doc_lengths]
+        self.norms = norms = [k1 * (1.0 - b + b * n / avgdl) for n in doc_lengths]
+        # One fresh list per term rather than a tuple per posting: a term's
+        # contributions lie together in memory, and loading a large index
+        # leaves the garbage collector no new object per posting to track.
+        k1_plus_1 = k1 + 1.0
+        self.contributions: dict[str, list[int | float]] = {}
+        for term, posting in postings.items():
+            idf = self._idf(len(posting))
+            self.contributions[term] = [x for d, tf in posting for x in (d, idf * tf * k1_plus_1 / (tf + norms[d]))]
 
     @classmethod
-    def build(cls, docs: list[TokenStream], params: Bm25Params = Bm25Params()) -> "Bm25Index":
+    def build(
+        cls, docs: list[TokenStream], params: Bm25Params = Bm25Params(), terms: Collection[str] | None = None
+    ) -> "Bm25Index":
         """One document per token stream. Each term's posting lists its
-        documents in ascending order; terms keep first-occurrence order."""
+        documents in ascending order; terms keep first-occurrence order.
+
+        An index built for one known query passes its ``terms``: only those
+        get postings, while document lengths still count every token, so
+        that query scores as it would against the full index."""
         postings: dict[str, list[tuple[int, int]]] = {}
         doc_lengths: list[int] = []
         for doc_index, doc in enumerate(docs):
             doc_lengths.append(len(doc))
+            indexed = doc if terms is None else [token for token in doc if token in terms]
             # Linear like a Counter, and cheaper for short names and aliases.
-            tfs = dict.fromkeys(doc, 0)
-            for token in doc:
+            tfs = dict.fromkeys(indexed, 0)
+            for token in indexed:
                 tfs[token] += 1
             for token, tf in tfs.items():
                 postings.setdefault(token, []).append((doc_index, tf))
@@ -84,13 +106,11 @@ class Bm25Index:
             raise DocOutOfRange(doc_index, self.doc_count)
         total = 0.0
         for token in _unique(query):
-            posting = self.postings.get(token)
-            if not posting:
+            flat = self.contributions.get(token)
+            if flat is None:
                 continue
-            tf = next((f for d, f in posting if d == doc_index), 0)
-            if tf == 0:
-                continue
-            total += self._idf(len(posting)) * tf * (self.params.k1 + 1.0) / (tf + self.norms[doc_index])
+            pairs = iter(flat)
+            total += next((c for d, c in zip(pairs, pairs) if d == doc_index), 0.0)
         return total
 
     def top_k(self, query: TokenStream, k: int) -> list[ScoredDoc]:
@@ -99,19 +119,14 @@ class Bm25Index:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         scores: dict[int, float] = {}
-        norms, k1_plus_1 = self.norms, self.params.k1 + 1.0
         for token in _unique(query):
-            posting = self.postings.get(token)
-            if not posting:
+            flat = self.contributions.get(token)
+            if flat is None:
                 continue
-            idf = self._idf(len(posting))
-            for doc_index, tf in posting:
-                scores[doc_index] = scores.get(doc_index, 0.0) + idf * tf * k1_plus_1 / (tf + norms[doc_index])
+            pairs = iter(flat)
+            for doc_index, contribution in zip(pairs, pairs):
+                scores[doc_index] = scores.get(doc_index, 0.0) + contribution
         # A list, not a generator: nsmallest then sorts inputs of at most k
         # items directly.
-        ranked = heapq.nsmallest(
-            k,
-            [item for item in scores.items() if item[1] > 0.0],
-            key=lambda item: (-item[1], item[0]),
-        )
-        return [ScoredDoc(doc_index=d, score=s) for d, s in ranked]
+        ranked = heapq.nsmallest(k, [(-s, d) for d, s in scores.items() if s > 0.0])
+        return [ScoredDoc(doc_index=d, score=-s) for s, d in ranked]

@@ -57,9 +57,10 @@ class Pipeline:
 
         Disabling ``ensemble`` or ``desc_bm25`` keeps the reranker pool, which
         is Cand1 either way. Disabling a coarse stage reruns only the fine
-        stage, over the narrowed Cand1. The reranker's scores depend only on
-        the mention and the entity and it ranks by ``(-score, entity_id)``, so
-        the full ranking filtered to a narrowed pool is that pool's ranking.
+        stage, over the narrowed Cand1, and only where that differs from
+        Cand1. The reranker's scores depend only on the mention and the
+        entity and it ranks by ``(-score, entity_id)``, so the full ranking
+        filtered to a narrowed pool is that pool's ranking.
         """
         check_toggles(toggles)
         lm = self.link(m)
@@ -70,6 +71,7 @@ class Pipeline:
             lm.retrieval.cand_at,
             lm.retrieval.cand_kb,
             [frozenset((toggle,)) for toggle in stages],
+            full=lm.retrieval,
         )
         results = dict(zip(stages, narrowed))
         views = [lm]

@@ -20,6 +20,7 @@ configurations reproduce bitwise-identical parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -59,6 +60,10 @@ _MARKERS = frozenset((MENTION_START, MENTION_END, NAME_DESC_SEP))
 # Prefix for the span-tagged copies of in-span n-grams; cannot collide with
 # plain grams (no brackets in tokenizer output) or marker features.
 _IN_SPAN_PREFIX = "[IN]"
+
+# Entries of the token -> bucket ids memo; at ≈1 KB each it holds at most
+# ≈16 MB.
+TOKEN_BUCKETS_MEMO_SIZE = 2**14
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,14 @@ def _token_features(token: str, orders: tuple[int, ...], in_span: bool) -> list[
     return [f for gram in grams for f in (gram, _IN_SPAN_PREFIX + gram)] if in_span else grams
 
 
+@functools.lru_cache(maxsize=TOKEN_BUCKETS_MEMO_SIZE)
+def _token_buckets(token: str, in_span: bool, ngram_orders: tuple[int, ...], hash_buckets: int) -> tuple[int, ...]:
+    """Bucket ids of one token's features, in order. A pure function of its
+    arguments, so memoized by value: two configs never share an entry."""
+    features = _token_features(token, ngram_orders, in_span)
+    return tuple(zlib.crc32(feature.encode()) % hash_buckets for feature in features)
+
+
 @dataclass(frozen=True)
 class SequenceFeatures:
     """Hashed feature counts of one sequence: the sparse encoder input."""
@@ -164,8 +177,7 @@ def sequence_features(seq: MarkedSequence, cfg: EncoderConfig) -> SequenceFeatur
             in_span = True
     counter: dict[int, int] = {}
     for (token, tagged), multiplicity in pairs.items():
-        for feature in _token_features(token, cfg.ngram_orders, tagged):
-            bucket = zlib.crc32(feature.encode()) % cfg.hash_buckets
+        for bucket in _token_buckets(token, tagged, cfg.ngram_orders, cfg.hash_buckets):
             counter[bucket] = counter.get(bucket, 0) + multiplicity
     buckets = np.fromiter(counter.keys(), dtype=np.int64, count=len(counter))
     counts = np.fromiter(counter.values(), dtype=np.float64, count=len(counter))

@@ -129,7 +129,7 @@ class Retriever:
 
     def _rank_descriptions(self, kb: KnowledgeBase, query: list[str], cand1: CandidateSet) -> CandidateSet:
         docs = [tokenize(kb.lookup(entity_id).description) for entity_id in cand1]
-        index = Bm25Index.build(docs, self.config.bm25_params)
+        index = Bm25Index.build(docs, self.config.bm25_params, terms=set(query))
         hits = index.top_k(query, self.config.k_desc) if query else []
         return [cand1[hit.doc_index] for hit in hits]
 
@@ -140,12 +140,17 @@ class Retriever:
         cand_at: CandidateSet,
         cand_kb: CandidateSet,
         disabled_sets: Sequence[frozenset[str]],
+        full: RetrievalResult | None = None,
     ) -> list[RetrievalResult]:
         """The rest of the cascade after the coarse stage, once per set of
         disabled stages: drop the coarse lists the set names (``at_bm25``,
         ``kb_bm25``), merge what is left into Cand1 and, unless ``desc_bm25``
         is named, rank Cand1 with the fine stage. The document text is
         tokenized at most once for all sets.
+
+        ``full`` is the result of the same coarse lists and document with no
+        stage disabled, when the caller has it: a set whose Cand1 equals its
+        Cand1 takes its Cand2 instead of ranking again.
         """
         query: list[str] | None = None
         results = []
@@ -154,7 +159,9 @@ class Retriever:
             kept_kb = [] if "kb_bm25" in disabled else cand_kb
             cand1 = merge_coarse(kept_at, kept_kb)
             cand2: CandidateSet = []
-            if cand1 and "desc_bm25" not in disabled:
+            if full is not None and cand1 == full.cand1 and "desc_bm25" not in disabled:
+                cand2 = full.cand2
+            elif cand1 and "desc_bm25" not in disabled:
                 if query is None:
                     query = _fine_query(doc_text)
                 cand2 = self._rank_descriptions(kb, query, cand1)
@@ -194,7 +201,7 @@ class Retriever:
         # knowledge base, and must not reach the sets that hold candidates.
         with decoding(at_path):
             alias_table = AliasTable(
-                AliasEntry(alias=str(e["alias"]), entity_id=str(e["entity_id"]), prior=float(e["prior"]))
+                AliasEntry(alias=str(e["alias"]), entity_id=str(e["entity_id"]), prior=_stored_prior(e["prior"]))
                 for e in at_meta["entries"]
             )
         with decoding(kb_path):
@@ -204,6 +211,14 @@ class Retriever:
             return cls(alias_table, kb_rows, config)
         except DataError as exc:
             raise DataError(f"{at_path} does not match {kb_path}: {exc}; rerun build-index") from None
+
+
+def _stored_prior(value) -> float:
+    """The rule ``load_alias_table`` applies: a JSON number, not a boolean, in
+    [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"prior {value!r} is not a number in [0, 1]")
+    return float(value)
 
 
 def _fine_query(doc_text: str) -> list[str]:

@@ -58,6 +58,25 @@ def bm25_ranking(docs: list[list[str]], query: list[str], k1: float, b: float, k
     return positive[:k]
 
 
+def bm25_top_k(docs: list[list[str]], query: list[str], k1: float, b: float, k: int) -> list[tuple[int, float]]:
+    """``bm25_ranking`` with the index's arithmetic, for bitwise comparison:
+    each unique query term, in query order, adds
+    ``idf * tf * (k1 + 1) / (tf + norm)`` to each document holding it."""
+    n = len(docs)
+    avgdl = (sum(len(d) for d in docs) / n if n else 0.0) or 1.0
+    scores: dict[int, float] = {}
+    for term in dict.fromkeys(query):
+        holders = [(i, d.count(term)) for i, d in enumerate(docs) if term in d]
+        if not holders:
+            continue
+        idf = math.log(1.0 + (n - len(holders) + 0.5) / (len(holders) + 0.5))
+        for i, tf in holders:
+            norm = k1 * (1.0 - b + b * len(docs[i]) / avgdl)
+            scores[i] = scores.get(i, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
+    positive = sorted((-s, i) for i, s in scores.items() if s > 0.0)
+    return [(i, -s) for s, i in positive[:k]]
+
+
 # CJK Unified Ideographs, Extension A, Compatibility Ideographs.
 _CJK_RANGES = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0xF900, 0xFAFF))
 

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexlink.bm25 import Bm25Index, Bm25Params
 from lexlink.errors import DocOutOfRange
 
-from oracles import bm25_ranking, bm25_score
+from oracles import bm25_ranking, bm25_score, bm25_top_k
 
 
 def random_corpus(rng, max_docs=100, max_vocab=50):
@@ -150,6 +152,31 @@ def test_top_k_scores_equal_score_bitwise():
         query = [rng.choice(tokens) for _ in range(rng.randrange(1, 6))]
         for hit in index.top_k(query, len(docs)):
             assert hit.score.hex() == index.score(query, hit.doc_index).hex()
+
+
+# Few terms and short, often identical documents: most scores tie.
+_TIE_HEAVY_DOCS = st.lists(st.lists(st.sampled_from("abcd"), max_size=4), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    docs=_TIE_HEAVY_DOCS,
+    query=st.lists(st.sampled_from("abcde"), min_size=1, max_size=6),
+    params=st.sampled_from([Bm25Params(), Bm25Params(k1=0.9, b=0.4), Bm25Params(k1=2.0, b=1.0), Bm25Params(b=0.0)]),
+)
+def test_top_k_equals_the_per_posting_reference_bitwise(docs, query, params):
+    full = Bm25Index.build(docs, params)
+    for_query = Bm25Index.build(docs, params, terms=set(query))
+    for k in range(1, len(docs) + 1):
+        want = [(doc, score.hex()) for doc, score in bm25_top_k(docs, query, params.k1, params.b, k)]
+        for index in (full, for_query):
+            assert [(hit.doc_index, hit.score.hex()) for hit in index.top_k(query, k)] == want
+
+
+def test_an_index_built_for_a_query_holds_only_its_terms():
+    index = Bm25Index.build([["a", "b", "a"], ["c"]], terms={"a", "z"})
+    assert index.postings == {"a": [(0, 2)]}
+    assert index.doc_lengths == [3, 1]
 
 
 def test_monotonicity_in_term_frequency():

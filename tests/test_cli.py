@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -394,6 +395,11 @@ def previous_index_layout(header):
         pytest.param("--at-index", lambda header: [header], id="at-index-is-a-list"),
         pytest.param("--at-index", lambda header: {"format": header["format"]}, id="at-index-tag-only"),
         pytest.param("--at-index", setting(("meta", "entries", 0, "prior"), "high"), id="non-numeric-prior"),
+        pytest.param("--at-index", setting(("meta", "entries", 0, "prior"), -5.0), id="negative-prior"),
+        pytest.param("--at-index", setting(("meta", "entries", 0, "prior"), 1.5), id="prior-above-1"),
+        pytest.param("--at-index", setting(("meta", "entries", 0, "prior"), True), id="boolean-prior"),
+        pytest.param("--at-index", setting(("meta", "entries", 0, "prior"), "0.5"), id="numeric-string-prior"),
+        pytest.param("--at-index", setting(("meta", "entries", 0, "prior"), math.nan), id="nan-prior"),
         pytest.param("--at-index", previous_index_layout, id="previous-layout-2"),
         pytest.param("--kb-index", setting(("meta", "entities", 0), ["Q1", "a", "b"]), id="kb-row-not-a-pair"),
         pytest.param("--model", removing(("arrays",)), id="model-without-arrays"),

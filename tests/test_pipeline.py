@@ -2,7 +2,7 @@ import pytest
 
 from lexlink.corpus import MentionRecord
 from lexlink.ensemble import VoteInput
-from lexlink.pipeline import RERANKER_ONLY, Pipeline
+from lexlink.pipeline import RERANKER_ONLY, TOGGLES, Pipeline
 from lexlink.reranker import DualEncoder, EncoderConfig, precompute_entity_embeddings
 from lexlink.retriever import Retriever
 
@@ -55,3 +55,29 @@ def test_link_rejects_unknown_toggle(pipeline):
 def test_reranker_pool_is_cand1_union_cand2(pipeline):
     lm = pipeline.link(mention("I ate an Apple today", "Apple"))
     assert [eid for eid, _ in sorted(lm.reranked)] == sorted(set(lm.retrieval.cand1) | set(lm.retrieval.cand2))
+
+
+@pytest.mark.parametrize(
+    "surface,rankings",
+    [
+        # Every coarse list is [Q3], so each narrowed Cand1 is the full one.
+        ("Banana", 1),
+        # Alias and name lists hold Q1 and Q2 in opposite orders: only the
+        # w/o AT-BM25 Cand1 (the name list) differs from the merged one.
+        ("Apple", 2),
+    ],
+)
+def test_ablate_ranks_descriptions_once_per_distinct_cand1(pipeline, surface, rankings):
+    record = mention(f"the {surface} grows on a tree", surface)
+    calls = 0
+    rank = pipeline.retriever._rank_descriptions
+
+    def counting_rank(*args):
+        nonlocal calls
+        calls += 1
+        return rank(*args)
+
+    pipeline.retriever._rank_descriptions = counting_rank
+    views = pipeline.ablate(record, TOGGLES)
+    assert calls == rankings
+    assert views == [pipeline.link(record, frozenset(disabled)) for disabled in [(), *((t,) for t in TOGGLES)]]

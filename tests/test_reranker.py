@@ -21,6 +21,7 @@ from lexlink.reranker import (
     MENTION_END,
     MENTION_START,
     NAME_DESC_SEP,
+    TOKEN_BUCKETS_MEMO_SIZE,
     DualEncoder,
     EncoderConfig,
     EntityEmbeddingStore,
@@ -36,6 +37,7 @@ from lexlink.reranker import (
     precompute_entity_embeddings,
     rerank,
     score_pair,
+    _token_buckets,
     sequence_features,
     train,
 )
@@ -201,6 +203,41 @@ def test_sequence_features_match_token_by_token_reference_bitwise(tokens, hash_b
     assert got.counts.tobytes() == want.counts.tobytes()
     assert got.token_count == want.token_count
     assert encode(got, params, cfg).tobytes() == encode(want, params, cfg).tobytes()
+
+
+def assert_features_equal(seq, cfg):
+    got, want = sequence_features(seq, cfg), oracles.sequence_features(seq, cfg)
+    assert got.buckets.tobytes() == want.buckets.tobytes()
+    assert got.counts.tobytes() == want.counts.tobytes()
+
+
+def test_the_token_memo_keeps_configs_apart():
+    # The same tokens, in and out of the span, under two configs in turn:
+    # an entry keyed by the token alone would hand one config the other's buckets.
+    configs = [
+        EncoderConfig(dim=4, hash_buckets=61, ngram_orders=(1, 2, 3), max_len=16),
+        EncoderConfig(dim=4, hash_buckets=2**16, ngram_orders=(3, 2), max_len=16),
+    ]
+    tokens = ("apple", MENTION_START, "pie", "apple", MENTION_END, "pie", "tree")
+    _token_buckets.cache_clear()
+    for _ in range(2):
+        for cfg in configs:
+            assert_features_equal(MarkedSequence(tokens=tokens, role="mention"), cfg)
+            assert_features_equal(MarkedSequence(tokens=tokens[2:4], role="entity"), cfg)
+
+
+def test_the_token_memo_is_bounded_and_exact_after_eviction():
+    assert _token_buckets.cache_info().maxsize == TOKEN_BUCKETS_MEMO_SIZE
+    cfg = EncoderConfig(dim=4, hash_buckets=4093, ngram_orders=(1, 3), max_len=16)
+    first = tuple(f"t{i}" for i in range(64))
+    _token_buckets.cache_clear()
+    sequence_features(MarkedSequence(tokens=first, role="entity"), cfg)
+    crowd = tuple(f"u{i}" for i in range(TOKEN_BUCKETS_MEMO_SIZE + 1000))
+    assert_features_equal(MarkedSequence(tokens=crowd, role="entity"), cfg)
+    assert _token_buckets.cache_info().currsize == TOKEN_BUCKETS_MEMO_SIZE
+    misses = _token_buckets.cache_info().misses
+    assert_features_equal(MarkedSequence(tokens=first, role="entity"), cfg)
+    assert _token_buckets.cache_info().misses == misses + len(first)  # evicted, so hashed again
 
 
 def test_score_pair_zero_vector():
