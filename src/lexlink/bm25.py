@@ -12,7 +12,6 @@ excluded from rankings and tie-breaking stays well defined.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Collection
@@ -124,9 +123,15 @@ class Bm25Index:
             if flat is None:
                 continue
             pairs = iter(flat)
+            if not scores:
+                # The first term found: a posting list holds each document
+                # once, so its contributions are the scores (0.0 + c == c).
+                scores = dict(zip(pairs, pairs))
+                continue
             for doc_index, contribution in zip(pairs, pairs):
                 scores[doc_index] = scores.get(doc_index, 0.0) + contribution
-        # A list, not a generator: nsmallest then sorts inputs of at most k
-        # items directly.
-        ranked = heapq.nsmallest(k, [(-s, d) for d, s in scores.items() if s > 0.0])
+        # Only documents scoring at least the k-th largest score can rank, so
+        # only those become (-score, doc) tuples to sort.
+        floor = sorted(scores.values(), reverse=True)[k - 1] if len(scores) > k else 0.0
+        ranked = sorted([(-s, d) for d, s in scores.items() if s >= floor and s > 0.0])[:k]
         return [ScoredDoc(doc_index=d, score=-s) for s, d in ranked]

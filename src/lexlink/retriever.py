@@ -9,6 +9,7 @@ descriptions, queried with the mention's document text.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,9 +22,13 @@ from .tokenizer import tokenize
 AT_FORMAT_TAG = "lexlink.at-index/3"
 KB_FORMAT_TAG = "lexlink.kb-index/3"
 
-# The fine stage queries with at most this many document tokens; mirrors the
-# encoder sequence cap.
+# The fine stage queries with at most this many document tokens. It equals the
+# encoder's default sequence cap and does not follow ``EncoderConfig.max_len``.
 FINE_QUERY_TOKEN_LIMIT = 128
+
+# Entries of the description -> tokens memo; each takes ≈62 bytes per token
+# plus ≈0.1 KB.
+DESCRIPTION_TOKENS_MEMO_SIZE = 2**12
 
 # Ordered duplicate-free list of entity ids.
 CandidateSet = list[str]
@@ -123,13 +128,15 @@ class Retriever:
         """Rank ``cand1`` by description relevance to the document text.
 
         The description corpus changes per mention, so the index is transient;
-        rebuilding over a handful of candidates is cheap.
+        it is built over the candidates' memoized description tokens.
         """
-        return self._rank_descriptions(kb, _fine_query(doc_text), cand1) if cand1 else []
+        return self._rank_descriptions(kb, *_fine_query(doc_text), cand1) if cand1 else []
 
-    def _rank_descriptions(self, kb: KnowledgeBase, query: list[str], cand1: CandidateSet) -> CandidateSet:
-        docs = [tokenize(kb.lookup(entity_id).description) for entity_id in cand1]
-        index = Bm25Index.build(docs, self.config.bm25_params, terms=set(query))
+    def _rank_descriptions(
+        self, kb: KnowledgeBase, query: list[str], terms: set[str], cand1: CandidateSet
+    ) -> CandidateSet:
+        docs = [_description_tokens(kb.lookup(entity_id).description) for entity_id in cand1]
+        index = Bm25Index.build(docs, self.config.bm25_params, terms=terms)
         hits = index.top_k(query, self.config.k_desc) if query else []
         return [cand1[hit.doc_index] for hit in hits]
 
@@ -152,7 +159,7 @@ class Retriever:
         stage disabled, when the caller has it: a set whose Cand1 equals its
         Cand1 takes its Cand2 instead of ranking again.
         """
-        query: list[str] | None = None
+        fine_query: tuple[list[str], set[str]] | None = None
         results = []
         for disabled in disabled_sets:
             kept_at = [] if "at_bm25" in disabled else cand_at
@@ -162,9 +169,9 @@ class Retriever:
             if full is not None and cand1 == full.cand1 and "desc_bm25" not in disabled:
                 cand2 = full.cand2
             elif cand1 and "desc_bm25" not in disabled:
-                if query is None:
-                    query = _fine_query(doc_text)
-                cand2 = self._rank_descriptions(kb, query, cand1)
+                if fine_query is None:
+                    fine_query = _fine_query(doc_text)
+                cand2 = self._rank_descriptions(kb, *fine_query, cand1)
             results.append(
                 RetrievalResult(
                     cand_at=kept_at,
@@ -221,5 +228,14 @@ def _stored_prior(value) -> float:
     return float(value)
 
 
-def _fine_query(doc_text: str) -> list[str]:
-    return tokenize(doc_text)[:FINE_QUERY_TOKEN_LIMIT]
+def _fine_query(doc_text: str) -> tuple[list[str], set[str]]:
+    """The fine stage's query and its set of terms, built once per document."""
+    query = tokenize(doc_text)[:FINE_QUERY_TOKEN_LIMIT]
+    return query, set(query)
+
+
+@functools.lru_cache(maxsize=DESCRIPTION_TOKENS_MEMO_SIZE)
+def _description_tokens(description: str) -> tuple[str, ...]:
+    """A description's tokens, memoized by its text: an edited description is
+    a new key, so it never reads the tokens of the old one."""
+    return tuple(tokenize(description))

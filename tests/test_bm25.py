@@ -103,6 +103,13 @@ def test_top_k_tie_break_by_doc_index():
     assert hits[0].score == hits[1].score
 
 
+def test_top_k_keeps_the_lowest_indices_among_ties_at_the_kth_score():
+    # Four documents tie at the k-th score; one outscores them from the end.
+    index = Bm25Index.build([["x"], ["same"], ["same"], ["same"], ["same"], ["same", "same"]])
+    for k, want in [(1, [5]), (2, [5, 1]), (3, [5, 1, 2]), (5, [5, 1, 2, 3, 4]), (9, [5, 1, 2, 3, 4])]:
+        assert [h.doc_index for h in index.top_k(["same"], k)] == want
+
+
 def test_top_k_rejects_nonpositive_k():
     index = Bm25Index.build([["a"]])
     with pytest.raises(ValueError):

@@ -1,14 +1,21 @@
 import random
+from collections import Counter
 
 import pytest
 
+import oracles
+from lexlink import retriever as retriever_module
 from lexlink.bm25 import Bm25Params
 from lexlink.corpus import AliasEntry, AliasTable, EntityRecord, KnowledgeBase, MentionRecord
 from lexlink.errors import ArtifactFormatError, DataError, StaleIndex
+from lexlink.pipeline import Pipeline
+from lexlink.reranker import DualEncoder, EncoderConfig, precompute_entity_embeddings
 from lexlink.retriever import (
+    DESCRIPTION_TOKENS_MEMO_SIZE,
     FINE_QUERY_TOKEN_LIMIT,
     Retriever,
     RetrieverConfig,
+    _description_tokens,
     merge_coarse,
 )
 from lexlink.tokenizer import tokenize
@@ -275,6 +282,76 @@ def test_disabled_stages_drop_candidates_and_votes(fruit_kb, retriever):
     assert result.cand_at == []
     assert result.top1_at is None
     assert result.cand1 == result.cand_kb
+
+
+# -- description token memo --------------------------------------------------
+
+
+def test_the_description_memo_keeps_edited_kbs_apart(fruit_kb, fruit_aliases):
+    # The same ids under two KBs, Q1's description edited in one, linked in
+    # turn: an entry keyed by entity id would hand one KB the other's tokens.
+    edited = KnowledgeBase(
+        EntityRecord(id=e.id, name=e.name, description="a green leaf" if e.id == "Q1" else e.description)
+        for e in fruit_kb.entities
+    )
+    model = DualEncoder.initialize(EncoderConfig(dim=8, hash_buckets=512, max_len=32, seed=1))
+    pipelines = [
+        Pipeline(
+            kb=kb,
+            retriever=Retriever.build(kb, fruit_aliases),
+            model=model,
+            store=precompute_entity_embeddings(model, kb),
+        )
+        for kb in (fruit_kb, edited)
+    ]
+    m = mention("I bought an Apple phone from the fruit tree", "Apple")
+    assert len({tuple(oracles.link(p, m).retrieval.cand2) for p in pipelines}) == 2
+    _description_tokens.cache_clear()
+    for _ in range(2):
+        for p in pipelines:
+            assert p.link(m) == oracles.link(p, m)
+
+
+def test_the_description_memo_is_bounded_and_exact_after_eviction():
+    assert _description_tokens.cache_info().maxsize == DESCRIPTION_TOKENS_MEMO_SIZE
+    rng = random.Random(8)
+    words = ["alpha", "beta", "gamma", "delta"]
+    n = DESCRIPTION_TOKENS_MEMO_SIZE + 256
+    descriptions = [" ".join([f"d{i}", *rng.choices(words, k=rng.randrange(6))]) for i in range(n)]
+    kb = KnowledgeBase(EntityRecord(id=f"E{i}", name=f"name{i}", description=d) for i, d in enumerate(descriptions))
+    r = Retriever.build(kb, AliasTable([]))
+    doc_text = "alpha d0 delta d4000 alpha d31"
+
+    def assert_ranked_as_the_oracle(cand1):
+        docs = [oracles.tokenize(kb.lookup(entity_id).description) for entity_id in cand1]
+        want = oracles.bm25_top_k(docs, oracles.tokenize(doc_text), 1.5, 0.75, r.config.k_desc)
+        assert r.retrieve_fine(kb, doc_text, cand1) == [cand1[i] for i, _ in want]
+
+    ids = [e.id for e in kb.entities]
+    first, *crowd = [ids[i : i + 32] for i in range(0, len(ids), 32)]
+    _description_tokens.cache_clear()
+    assert_ranked_as_the_oracle(first)
+    for cand1 in crowd:
+        assert_ranked_as_the_oracle(cand1)
+    assert _description_tokens.cache_info().currsize == DESCRIPTION_TOKENS_MEMO_SIZE
+    misses = _description_tokens.cache_info().misses
+    assert_ranked_as_the_oracle(first)
+    assert _description_tokens.cache_info().misses == misses + len(first)  # evicted, so tokenized again
+
+
+def test_the_fine_stage_tokenizes_each_description_once(monkeypatch, fruit_kb, retriever):
+    calls = Counter()
+
+    def counting_tokenize(text):
+        calls[text] += 1
+        return tokenize(text)
+
+    monkeypatch.setattr(retriever_module, "tokenize", counting_tokenize)
+    _description_tokens.cache_clear()
+    doc_text = "an apple from the fruit tree"
+    for _ in range(2):
+        assert retriever.retrieve_fine(fruit_kb, doc_text, ["Q1", "Q2", "Q3"])
+    assert calls == Counter({doc_text: 2, **{e.description: 1 for e in fruit_kb.entities}})
 
 
 # -- serialization -----------------------------------------------------------
