@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection
 
-from .errors import DocOutOfRange, InvalidConfig
+from .errors import InvalidConfig
 from .tokenizer import TokenStream
 
 
@@ -98,19 +98,6 @@ class Bm25Index:
 
     def _idf(self, df: int) -> float:
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-
-    def score(self, query: TokenStream, doc_index: int) -> float:
-        """Score one document; absent query terms contribute zero."""
-        if not 0 <= doc_index < self.doc_count:
-            raise DocOutOfRange(doc_index, self.doc_count)
-        total = 0.0
-        for token in _unique(query):
-            flat = self.contributions.get(token)
-            if flat is None:
-                continue
-            pairs = iter(flat)
-            total += next((c for d, c in zip(pairs, pairs) if d == doc_index), 0.0)
-        return total
 
     def top_k(self, query: TokenStream, k: int) -> list[ScoredDoc]:
         """Up to ``k`` positive-scoring documents, score-descending, ties by

@@ -59,13 +59,6 @@ class SpanMismatch(DataError):
         super().__init__(f"doc {doc_id!r}: {reason}")
 
 
-class DocOutOfRange(DataError):
-    def __init__(self, doc_index: int, doc_count: int):
-        self.doc_index = doc_index
-        self.doc_count = doc_count
-        super().__init__(f"doc index {doc_index} out of range for {doc_count} documents")
-
-
 class MentionTooLong(DataError):
     pass
 

@@ -56,34 +56,30 @@ class Pipeline:
         returns, derived from that one link instead of linking again.
 
         Disabling ``ensemble`` or ``desc_bm25`` keeps the reranker pool, which
-        is Cand1 either way. Disabling a coarse stage reruns only the fine
-        stage, over the narrowed Cand1, and only where that differs from
-        Cand1. The reranker's scores depend only on the mention and the
-        entity and it ranks by ``(-score, entity_id)``, so the full ranking
-        filtered to a narrowed pool is that pool's ranking.
+        is Cand1 either way. Each stage row comes from ``Retriever.retrieve``
+        given the full result, which reruns only the fine stage, and only where
+        the row's Cand1 differs from the full one. The reranker's scores depend
+        only on the mention and the entity and it ranks by
+        ``(-score, entity_id)``, so the full ranking filtered to a smaller
+        pool is that pool's ranking.
         """
         check_toggles(toggles)
         lm = self.link(m)
-        stages = [toggle for toggle in toggles if toggle != "ensemble"]
-        narrowed = self.retriever.narrow(
-            self.kb,
-            m.text,
-            lm.retrieval.cand_at,
-            lm.retrieval.cand_kb,
-            [frozenset((toggle,)) for toggle in stages],
-            full=lm.retrieval,
-        )
-        results = dict(zip(stages, narrowed))
         views = [lm]
         for toggle in toggles:
-            result = results.get(toggle, lm.retrieval)
+            disabled = frozenset((toggle,))
+            result = (
+                lm.retrieval
+                if toggle == "ensemble"
+                else self.retriever.retrieve(self.kb, m, disabled, full=lm.retrieval)
+            )
             pool = set(result.cand1)
             reranked = [pair for pair in lm.reranked if pair[0] in pool]
-            views.append(_decide(m, result, reranked, frozenset((toggle,))))
+            views.append(_decide(m, result, reranked, disabled))
         return views
 
-    def link_dataset(self, ds: Dataset, disabled: frozenset[str] = frozenset()) -> list[LinkedMention]:
-        return [self.link(record, disabled=disabled) for record in ds.records]
+    def link_dataset(self, ds: Dataset) -> list[LinkedMention]:
+        return [self.link(record) for record in ds.records]
 
 
 def _decide(

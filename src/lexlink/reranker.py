@@ -40,7 +40,7 @@ from .errors import (
     StaleStore,
     UnknownCandidate,
 )
-from .retriever import CandidateSet, Retriever
+from .retriever import CandidateSet, Retriever, merge_coarse
 from .tokenizer import tokenize
 
 MODEL_FORMAT_TAG = "lexlink.dual-encoder/1"
@@ -94,7 +94,6 @@ class EncoderConfig:
 @dataclass(frozen=True)
 class MarkedSequence:
     tokens: tuple[str, ...]
-    role: str  # "mention" | "entity"
 
 
 def build_mention_sequence(m: MentionRecord, cfg: EncoderConfig) -> MarkedSequence:
@@ -126,7 +125,7 @@ def build_mention_sequence(m: MentionRecord, cfg: EncoderConfig) -> MarkedSequen
         MENTION_END,
         *right[:keep_right],
     )
-    return MarkedSequence(tokens=tokens, role="mention")
+    return MarkedSequence(tokens=tokens)
 
 
 def build_entity_sequence(e: EntityRecord, cfg: EncoderConfig) -> MarkedSequence:
@@ -135,7 +134,7 @@ def build_entity_sequence(e: EntityRecord, cfg: EncoderConfig) -> MarkedSequence
     if len(name) + 1 > cfg.max_len:
         raise NameTooLong(f"entity {e.id!r}: name spans {len(name)} tokens; limit is {cfg.max_len - 1}")
     desc = tokenize(e.description)[: cfg.max_len - len(name) - 1]
-    return MarkedSequence(tokens=(*name, NAME_DESC_SEP, *desc), role="entity")
+    return MarkedSequence(tokens=(*name, NAME_DESC_SEP, *desc))
 
 
 def _token_features(token: str, orders: tuple[int, ...], in_span: bool) -> list[str]:
@@ -330,7 +329,7 @@ def build_training_examples(
 ) -> list[TrainExample]:
     """Pair each record with its gold entity plus hard negatives.
 
-    Negatives come first from the record's own retrieved candidates (gold
+    Negatives come first from the record's own coarse candidates, Cand1 (gold
     excluded), then uniform-random knowledge-base entities until the quota is
     met or the KB runs out. Candidate lists stay duplicate-free.
     """
@@ -352,8 +351,8 @@ def build_training_examples(
             raise MissingGold(f"doc {record.doc_id!r} has no gold id")
         if record.gold_id not in kb:
             raise MissingGold(f"doc {record.doc_id!r}: gold id {record.gold_id!r} not in knowledge base")
-        result = retriever.retrieve(kb, record)
-        negatives = [eid for eid in result.cand1 if eid != record.gold_id][: tc.negatives_per_example]
+        cand1 = merge_coarse(*retriever.retrieve_coarse(record.mention))
+        negatives = [eid for eid in cand1 if eid != record.gold_id][: tc.negatives_per_example]
         chosen = set(negatives)
         chosen.add(record.gold_id)
         while len(negatives) < tc.negatives_per_example and len(chosen) < len(kb):

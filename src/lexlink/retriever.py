@@ -4,14 +4,14 @@ The coarse layer runs two BM25 models over the mention string: one across
 alias-table surface forms, one across knowledge-base entity names. The
 survivors are merged into a duplicate-free candidate list, and the fine layer
 re-retrieves from it with a transient BM25 index over the candidates'
-descriptions, queried with the mention's document text.
+descriptions, queried with the mention's document text. ``Retriever.retrieve``
+is the one place the two layers are chained.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .artifacts import decoding, read_container, write_container
 from .bm25 import Bm25Index, Bm25Params
@@ -91,8 +91,7 @@ class Retriever:
             raise DataError(f"alias table references unknown entities: {misses[:10]}")
         self.at_index = Bm25Index.build([tokenize(entry.alias) for entry in alias_table.entries], config.bm25_params)
         self.kb_index = Bm25Index.build([tokenize(name) for _, name in kb_rows], config.bm25_params)
-        self.alias_table = alias_table
-        self.alias_rows = alias_table.entries  # doc index -> AliasEntry
+        self.alias_table = alias_table  # entries: doc index -> AliasEntry
         self.kb_rows = kb_rows  # doc index -> (entity id, name)
         self.config = config
 
@@ -112,7 +111,7 @@ class Retriever:
         cand_at: CandidateSet = []
         seen: set[str] = set()
         for hit in at_hits:
-            bucket = self.alias_table.entries_for(self.alias_rows[hit.doc_index].alias)
+            bucket = self.alias_table.entries_for(self.alias_table.entries[hit.doc_index].alias)
             if self.config.alias_expansion == "best":
                 bucket = bucket[:1]
             for entry in bucket:
@@ -125,76 +124,61 @@ class Retriever:
         return cand_at, cand_kb
 
     def retrieve_fine(self, kb: KnowledgeBase, doc_text: str, cand1: CandidateSet) -> CandidateSet:
-        """Rank ``cand1`` by description relevance to the document text.
+        """Rank ``cand1`` by description relevance to the document text, queried
+        with its first ``FINE_QUERY_TOKEN_LIMIT`` tokens.
 
         The description corpus changes per mention, so the index is transient;
-        it is built over the candidates' memoized description tokens.
+        it is built over the candidates' memoized description tokens and holds
+        only the query's terms.
         """
-        return self._rank_descriptions(kb, *_fine_query(doc_text), cand1) if cand1 else []
-
-    def _rank_descriptions(
-        self, kb: KnowledgeBase, query: list[str], terms: set[str], cand1: CandidateSet
-    ) -> CandidateSet:
+        if not cand1:
+            return []
+        query = tokenize(doc_text)[:FINE_QUERY_TOKEN_LIMIT]
         docs = [_description_tokens(kb.lookup(entity_id).description) for entity_id in cand1]
-        index = Bm25Index.build(docs, self.config.bm25_params, terms=terms)
+        index = Bm25Index.build(docs, self.config.bm25_params, terms=set(query))
         hits = index.top_k(query, self.config.k_desc) if query else []
         return [cand1[hit.doc_index] for hit in hits]
 
-    def narrow(
+    def retrieve(
         self,
         kb: KnowledgeBase,
-        doc_text: str,
-        cand_at: CandidateSet,
-        cand_kb: CandidateSet,
-        disabled_sets: Sequence[frozenset[str]],
+        mention: MentionRecord,
+        disabled: frozenset[str] = frozenset(),
         full: RetrievalResult | None = None,
-    ) -> list[RetrievalResult]:
-        """The rest of the cascade after the coarse stage, once per set of
-        disabled stages: drop the coarse lists the set names (``at_bm25``,
-        ``kb_bm25``), merge what is left into Cand1 and, unless ``desc_bm25``
-        is named, rank Cand1 with the fine stage. The document text is
-        tokenized at most once for all sets.
+    ) -> RetrievalResult:
+        """Full cascade. ``disabled`` may name BM25 stages to leave out
+        (``at_bm25``, ``kb_bm25``, ``desc_bm25``), used by ablations.
 
-        ``full`` is the result of the same coarse lists and document with no
-        stage disabled, when the caller has it: a set whose Cand1 equals its
+        ``full`` is this mention's result with no stage disabled, when the
+        caller has it: its coarse lists are reused, and a Cand1 equal to its
         Cand1 takes its Cand2 instead of ranking again.
         """
-        fine_query: tuple[list[str], set[str]] | None = None
-        results = []
-        for disabled in disabled_sets:
-            kept_at = [] if "at_bm25" in disabled else cand_at
-            kept_kb = [] if "kb_bm25" in disabled else cand_kb
-            cand1 = merge_coarse(kept_at, kept_kb)
+        cand_at, cand_kb = (full.cand_at, full.cand_kb) if full is not None else self.retrieve_coarse(mention.mention)
+        if "at_bm25" in disabled:
+            cand_at = []
+        if "kb_bm25" in disabled:
+            cand_kb = []
+        cand1 = merge_coarse(cand_at, cand_kb)
+        if "desc_bm25" in disabled:
             cand2: CandidateSet = []
-            if full is not None and cand1 == full.cand1 and "desc_bm25" not in disabled:
-                cand2 = full.cand2
-            elif cand1 and "desc_bm25" not in disabled:
-                if fine_query is None:
-                    fine_query = _fine_query(doc_text)
-                cand2 = self._rank_descriptions(kb, *fine_query, cand1)
-            results.append(
-                RetrievalResult(
-                    cand_at=kept_at,
-                    cand_kb=kept_kb,
-                    cand1=cand1,
-                    cand2=cand2,
-                    top1_at=kept_at[0] if kept_at else None,
-                    top1_kb=kept_kb[0] if kept_kb else None,
-                    top1_desc=cand2[0] if cand2 else None,
-                )
-            )
-        return results
-
-    def retrieve(self, kb: KnowledgeBase, mention: MentionRecord, disabled: frozenset[str] = frozenset()) -> RetrievalResult:
-        """Full cascade. ``disabled`` may name BM25 stages to leave out
-        (``at_bm25``, ``kb_bm25``, ``desc_bm25``), used by ablations."""
-        cand_at, cand_kb = self.retrieve_coarse(mention.mention)
-        return self.narrow(kb, mention.text, cand_at, cand_kb, [disabled])[0]
+        elif full is not None and cand1 == full.cand1:
+            cand2 = full.cand2
+        else:
+            cand2 = self.retrieve_fine(kb, mention.text, cand1)
+        return RetrievalResult(
+            cand_at=cand_at,
+            cand_kb=cand_kb,
+            cand1=cand1,
+            cand2=cand2,
+            top1_at=cand_at[0] if cand_at else None,
+            top1_kb=cand_kb[0] if cand_kb else None,
+            top1_desc=cand2[0] if cand2 else None,
+        )
 
     def save(self, at_path, kb_path) -> None:
         """Each index as a container with no arrays holding the rows it is
         built from: the alias entries, and the ``(entity id, name)`` rows."""
-        entries = [{"alias": e.alias, "entity_id": e.entity_id, "prior": e.prior} for e in self.alias_rows]
+        entries = [{"alias": e.alias, "entity_id": e.entity_id, "prior": e.prior} for e in self.alias_table.entries]
         write_container(at_path, AT_FORMAT_TAG, {"entries": entries}, {})
         write_container(kb_path, KB_FORMAT_TAG, {"entities": self.kb_rows}, {})
 
@@ -226,12 +210,6 @@ def _stored_prior(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
         raise ValueError(f"prior {value!r} is not a number in [0, 1]")
     return float(value)
-
-
-def _fine_query(doc_text: str) -> tuple[list[str], set[str]]:
-    """The fine stage's query and its set of terms, built once per document."""
-    query = tokenize(doc_text)[:FINE_QUERY_TOKEN_LIMIT]
-    return query, set(query)
 
 
 @functools.lru_cache(maxsize=DESCRIPTION_TOKENS_MEMO_SIZE)

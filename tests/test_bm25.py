@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexlink.bm25 import Bm25Index, Bm25Params
-from lexlink.errors import DocOutOfRange
 
 from oracles import bm25_ranking, bm25_score, bm25_top_k
 
@@ -38,7 +37,6 @@ def test_build_all_empty_documents_returns_empty_rankings():
     index = Bm25Index.build([[], []])
     assert index.avg_doc_length == 0.0
     assert index.top_k(["a"], 3) == []
-    assert index.score(["a"], 1) == 0.0
 
 
 def test_build_repeated_term_frequency():
@@ -55,14 +53,19 @@ def test_build_allows_empty_documents():
 # -- score -------------------------------------------------------------------
 
 
+def scores(index, query):
+    return {hit.doc_index: hit.score for hit in index.top_k(query, index.doc_count)}
+
+
 def test_score_zero_when_no_query_term_in_document():
     index = Bm25Index.build([["apple", "pie"], ["banana"]])
-    assert index.score(["cherry"], 0) == 0.0
+    assert index.top_k(["cherry"], 2) == []
+    assert list(scores(index, ["apple", "cherry"])) == [0]
 
 
 def test_score_empty_query_is_zero():
     index = Bm25Index.build([["apple"]])
-    assert index.score([], 0) == 0.0
+    assert index.top_k([], 1) == []
 
 
 def test_score_matches_frozen_oracle_value():
@@ -71,20 +74,14 @@ def test_score_matches_frozen_oracle_value():
     docs = [["apple", "pie"], ["apple"], ["banana"]]
     index = Bm25Index.build(docs, Bm25Params(k1=1.5, b=0.75))
     expected = 0.5295815540797021
-    assert index.score(["apple"], 1) == pytest.approx(expected, abs=1e-9)
+    assert scores(index, ["apple"])[1] == pytest.approx(expected, abs=1e-9)
     assert bm25_score(docs, ["apple"], 1, 1.5, 0.75) == pytest.approx(expected, abs=1e-15)
 
 
 def test_score_duplicate_query_terms_counted_once():
-    docs = [["apple", "apple"]]
+    docs = [["apple", "apple"], ["apple", "pie"]]
     index = Bm25Index.build(docs)
-    assert index.score(["apple", "apple"], 0) == index.score(["apple"], 0)
-
-
-def test_score_doc_out_of_range():
-    index = Bm25Index.build([["a"]])
-    with pytest.raises(DocOutOfRange):
-        index.score(["a"], 1)
+    assert index.top_k(["apple", "apple"], 2) == index.top_k(["apple"], 2)
 
 
 # -- top_k -------------------------------------------------------------------
@@ -149,18 +146,6 @@ def test_oracle_equivalence_over_random_corpora():
             assert hit.score == pytest.approx(score, abs=1e-9)
 
 
-def test_top_k_scores_equal_score_bitwise():
-    rng = random.Random(77)
-    for _ in range(20):
-        docs = random_corpus(rng)
-        params = Bm25Params(k1=rng.uniform(0.5, 2.0), b=rng.uniform(0.0, 1.0))
-        index = Bm25Index.build(docs, params)
-        tokens = [t for d in docs for t in d] or ["t0"]
-        query = [rng.choice(tokens) for _ in range(rng.randrange(1, 6))]
-        for hit in index.top_k(query, len(docs)):
-            assert hit.score.hex() == index.score(query, hit.doc_index).hex()
-
-
 # Few terms and short, often identical documents: most scores tie.
 _TIE_HEAVY_DOCS = st.lists(st.lists(st.sampled_from("abcd"), max_size=4), min_size=1, max_size=12)
 
@@ -190,8 +175,8 @@ def test_monotonicity_in_term_frequency():
     # Same lengths, same document frequencies; only tf of the query term grows.
     low = [["q", "x", "x"], ["y", "y", "y"]]
     high = [["q", "q", "x"], ["y", "y", "y"]]
-    score_low = Bm25Index.build(low).score(["q"], 0)
-    score_high = Bm25Index.build(high).score(["q"], 0)
+    score_low = scores(Bm25Index.build(low), ["q"])[0]
+    score_high = scores(Bm25Index.build(high), ["q"])[0]
     assert score_high >= score_low
 
 

@@ -60,7 +60,7 @@ def test_reranker_pool_is_cand1_union_cand2(pipeline):
 @pytest.mark.parametrize(
     "surface,rankings",
     [
-        # Every coarse list is [Q3], so each narrowed Cand1 is the full one.
+        # Every coarse list is [Q3], so each stage row's Cand1 is the full one.
         ("Banana", 1),
         # Alias and name lists hold Q1 and Q2 in opposite orders: only the
         # w/o AT-BM25 Cand1 (the name list) differs from the merged one.
@@ -70,14 +70,14 @@ def test_reranker_pool_is_cand1_union_cand2(pipeline):
 def test_ablate_ranks_descriptions_once_per_distinct_cand1(pipeline, surface, rankings):
     record = mention(f"the {surface} grows on a tree", surface)
     calls = 0
-    rank = pipeline.retriever._rank_descriptions
+    rank = pipeline.retriever.retrieve_fine
 
     def counting_rank(*args):
         nonlocal calls
         calls += 1
         return rank(*args)
 
-    pipeline.retriever._rank_descriptions = counting_rank
+    pipeline.retriever.retrieve_fine = counting_rank
     views = pipeline.ablate(record, TOGGLES)
     assert calls == rankings
     assert views == [pipeline.link(record, frozenset(disabled)) for disabled in [(), *((t,) for t in TOGGLES)]]

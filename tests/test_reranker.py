@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 
-from lexlink.corpus import Dataset, EntityRecord, KnowledgeBase, MentionRecord
+from lexlink.corpus import AliasEntry, AliasTable, Dataset, EntityRecord, KnowledgeBase, MentionRecord
 from lexlink.errors import (
     DimensionMismatch,
     MentionTooLong,
@@ -63,7 +63,6 @@ def test_mention_sequence_places_markers_around_span():
     m = mention("I ate an Apple.", "Apple")
     seq = build_mention_sequence(m, cfg)
     assert list(seq.tokens) == ["i", "ate", "an", MENTION_START, "apple", MENTION_END]
-    assert seq.role == "mention"
 
 
 def test_mention_sequence_truncates_to_max_len_keeping_markers():
@@ -98,7 +97,6 @@ def test_entity_sequence_name_sep_description():
     e = EntityRecord(id="Q1", name="Apple", description="fruit of the apple tree")
     seq = build_entity_sequence(e, cfg)
     assert list(seq.tokens) == ["apple", NAME_DESC_SEP, "fruit", "of", "the", "apple", "tree"]
-    assert seq.role == "entity"
 
 
 def test_entity_sequence_empty_description():
@@ -130,7 +128,7 @@ def test_encode_zero_parameters_give_zero_vector():
     model.mention_params.embedding[:] = 0.0
     model.mention_params.projection[:] = 0.0
     model.mention_params.bias[:] = 0.0
-    seq = MarkedSequence(tokens=("hello", "world"), role="mention")
+    seq = MarkedSequence(tokens=("hello", "world"))
     y = encode(seq, model.mention_params, SMALL)
     assert np.all(y == 0.0)
 
@@ -152,14 +150,14 @@ def test_encode_single_token_matches_hand_matrix_multiply():
     params.embedding[:] = np.array([1.0, 2.0, 3.0])
     params.projection[:] = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [3.0, 0.0, 1.0]])
     params.bias[:] = np.array([0.5, -1.0, 0.0])
-    y = encode(MarkedSequence(tokens=("a",), role="entity"), params, cfg)
+    y = encode(MarkedSequence(tokens=("a",)), params, cfg)
     # y = W @ v + b worked out by hand
     assert y == pytest.approx([7.5, 1.0, 6.0], abs=1e-12)
 
 
 def test_marker_tokens_contribute_a_single_reserved_feature():
     cfg = EncoderConfig(dim=4, hash_buckets=64, ngram_orders=(1, 2, 3), max_len=8, seed=0)
-    feats = sequence_features(MarkedSequence(tokens=(MENTION_START,), role="mention"), cfg)
+    feats = sequence_features(MarkedSequence(tokens=(MENTION_START,)), cfg)
     assert feats.counts.sum() == 1.0
     assert feats.token_count == 1
 
@@ -196,7 +194,7 @@ def _featurizer_model(hash_buckets, ngram_orders):
 )
 def test_sequence_features_match_token_by_token_reference_bitwise(tokens, hash_buckets, ngram_orders):
     cfg, params = _featurizer_model(hash_buckets, ngram_orders)
-    seq = MarkedSequence(tokens=tokens, role="mention")
+    seq = MarkedSequence(tokens=tokens)
     got, want = sequence_features(seq, cfg), oracles.sequence_features(seq, cfg)
     assert got.buckets.dtype == want.buckets.dtype and got.counts.dtype == want.counts.dtype
     assert got.buckets.tobytes() == want.buckets.tobytes()
@@ -222,8 +220,8 @@ def test_the_token_memo_keeps_configs_apart():
     _token_buckets.cache_clear()
     for _ in range(2):
         for cfg in configs:
-            assert_features_equal(MarkedSequence(tokens=tokens, role="mention"), cfg)
-            assert_features_equal(MarkedSequence(tokens=tokens[2:4], role="entity"), cfg)
+            assert_features_equal(MarkedSequence(tokens=tokens), cfg)
+            assert_features_equal(MarkedSequence(tokens=tokens[2:4]), cfg)
 
 
 def test_the_token_memo_is_bounded_and_exact_after_eviction():
@@ -231,12 +229,12 @@ def test_the_token_memo_is_bounded_and_exact_after_eviction():
     cfg = EncoderConfig(dim=4, hash_buckets=4093, ngram_orders=(1, 3), max_len=16)
     first = tuple(f"t{i}" for i in range(64))
     _token_buckets.cache_clear()
-    sequence_features(MarkedSequence(tokens=first, role="entity"), cfg)
+    sequence_features(MarkedSequence(tokens=first), cfg)
     crowd = tuple(f"u{i}" for i in range(TOKEN_BUCKETS_MEMO_SIZE + 1000))
-    assert_features_equal(MarkedSequence(tokens=crowd, role="entity"), cfg)
+    assert_features_equal(MarkedSequence(tokens=crowd), cfg)
     assert _token_buckets.cache_info().currsize == TOKEN_BUCKETS_MEMO_SIZE
     misses = _token_buckets.cache_info().misses
-    assert_features_equal(MarkedSequence(tokens=first, role="entity"), cfg)
+    assert_features_equal(MarkedSequence(tokens=first), cfg)
     assert _token_buckets.cache_info().misses == misses + len(first)  # evicted, so hashed again
 
 
@@ -278,8 +276,6 @@ def small_world():
 
 
 def small_examples(tc=TrainConfig(seed=5)):
-    from lexlink.corpus import AliasTable
-
     kb, ds = small_world()
     retriever = Retriever.build(kb, AliasTable([]))
     return build_training_examples(ds, kb, retriever, tc, SMALL)
@@ -381,8 +377,6 @@ def test_training_is_bitwise_reproducible():
 
 
 def test_train_rejects_missing_gold():
-    from lexlink.corpus import AliasTable
-
     kb, ds = small_world()
     records = ds.records + [mention("text name1 tok1 here", "name1 tok1", gold=None, doc_id="bad")]
     retriever = Retriever.build(kb, AliasTable([]))
@@ -391,8 +385,6 @@ def test_train_rejects_missing_gold():
 
 
 def test_negatives_prefer_retrieved_candidates():
-    from lexlink.corpus import AliasTable
-
     kb, ds = small_world()
     retriever = Retriever.build(kb, AliasTable([]))
     examples = build_training_examples(ds, kb, retriever, TrainConfig(seed=5, negatives_per_example=3), SMALL)
@@ -400,6 +392,36 @@ def test_negatives_prefer_retrieved_candidates():
         assert example.candidate_ids[0] == record.gold_id
         assert len(example.candidate_ids) == 4
         assert len(set(example.candidate_ids)) == 4
+
+
+def test_negatives_are_cand1_then_the_seeded_fill_without_ranking_descriptions(monkeypatch):
+    kb, at, ds = build_synthetic(SynthSpec(seed=3, n_entities=40, n_aliases=55, n_mentions=40))
+    # Synth Cand1s hold at most one negative; six more entities under the
+    # first mention's surface make one Cand1 longer than the quota.
+    extra = [AliasEntry(alias=ds.records[0].mention, entity_id=e.id, prior=0.0) for e in kb.entities[:6]]
+    retriever = Retriever.build(kb, AliasTable([*at.entries, *extra]))
+    cand1s = [retriever.retrieve(kb, record).cand1 for record in ds.records]
+    monkeypatch.setattr(retriever, "retrieve_fine", lambda *args: pytest.fail("ranked descriptions"))
+    tc = TrainConfig(seed=4, negatives_per_example=4)
+    examples = build_training_examples(ds, kb, retriever, tc, SMALL)
+
+    # The random fill, drawn as it always has been: one seeded stream across
+    # records, redrawing ids already chosen.
+    rng = np.random.default_rng([tc.seed, 17])
+    capped = filled = 0
+    for example, record, cand1 in zip(examples, ds.records, cand1s):
+        cand1 = [eid for eid in cand1 if eid != record.gold_id]
+        negatives = cand1[: tc.negatives_per_example]
+        capped += len(cand1) > tc.negatives_per_example
+        chosen = {record.gold_id, *negatives}
+        while len(negatives) < tc.negatives_per_example:
+            entity_id = kb.entities[int(rng.integers(len(kb)))].id
+            if entity_id not in chosen:
+                chosen.add(entity_id)
+                negatives.append(entity_id)
+                filled += 1
+        assert example.candidate_ids == [record.gold_id, *negatives]
+    assert capped and filled
 
 
 # -- store and rerank --------------------------------------------------------

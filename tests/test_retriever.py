@@ -70,7 +70,7 @@ def test_build_rejects_alias_targets_missing_from_the_kb(fruit_kb):
 
 def test_duplicate_alias_strings_stay_separate_documents(fruit_kb, fruit_aliases):
     r = Retriever.build(fruit_kb, fruit_aliases)
-    apple_docs = [i for i, e in enumerate(r.alias_rows) if e.alias == "Apple"]
+    apple_docs = [i for i, e in enumerate(r.alias_table.entries) if e.alias == "Apple"]
     assert len(apple_docs) == 2
 
 
@@ -239,16 +239,20 @@ def random_world(rng, n_entities=30, n_aliases=45):
     return KnowledgeBase(entities), AliasTable(entries)
 
 
+def random_mentions(rng, n):
+    words = ["iron", "gold", "river", "petal", "crane", "maple", "stone", "cloud", "中", "华"]
+    for i in range(n):
+        surface = " ".join(rng.choice(words) for _ in range(rng.randrange(1, 3)))
+        text = f"{surface} " + " ".join(rng.choice(words) for _ in range(rng.randrange(0, 12)))
+        yield MentionRecord(doc_id=f"d{i}", text=text, span_start=0, span_end=len(surface), mention=surface)
+
+
 def test_subset_and_cap_invariants_over_random_mentions():
     rng = random.Random(20230917)
     kb, at = random_world(rng)
     cfg = RetrieverConfig(k_at=4, k_kb=5, k_desc=3)
     r = Retriever.build(kb, at, cfg)
-    words = ["iron", "gold", "river", "petal", "crane", "maple", "stone", "cloud", "中", "华"]
-    for i in range(200):
-        surface = " ".join(rng.choice(words) for _ in range(rng.randrange(1, 3)))
-        text = f"{surface} " + " ".join(rng.choice(words) for _ in range(rng.randrange(0, 12)))
-        m = MentionRecord(doc_id=f"d{i}", text=text, span_start=0, span_end=len(surface), mention=surface)
+    for m in random_mentions(rng, 200):
         result = r.retrieve(kb, m)
         cand1 = set(result.cand1)
         assert set(result.cand2) <= cand1
@@ -259,6 +263,25 @@ def test_subset_and_cap_invariants_over_random_mentions():
         assert len(result.cand2) <= cfg.k_desc
         assert len(result.cand1) <= cfg.k_at + cfg.k_kb
         assert len(cand1) == len(result.cand1)  # duplicate-free
+
+
+def test_a_given_full_result_changes_no_result():
+    reused = reranked = 0
+    for seed in range(5):
+        rng = random.Random(seed)
+        kb, at = random_world(rng)
+        r = Retriever.build(kb, at, RetrieverConfig(k_at=3, k_kb=3, k_desc=2))
+        for m in random_mentions(rng, 40):
+            full = r.retrieve(kb, m)
+            assert r.retrieve(kb, m, full=full) == full
+            for stage in ("at_bm25", "kb_bm25", "desc_bm25"):
+                alone = r.retrieve(kb, m, frozenset((stage,)))
+                assert r.retrieve(kb, m, frozenset((stage,)), full=full) == alone
+                if stage != "desc_bm25" and alone.cand1:
+                    reused += alone.cand1 == full.cand1
+                    reranked += alone.cand1 != full.cand1
+    # Both branches of the shortcut ran.
+    assert reused and reranked
 
 
 def test_retrieve_is_deterministic(fruit_kb, retriever):
@@ -366,7 +389,7 @@ def test_retriever_save_load_round_trip(tmp_path, fruit_kb, fruit_aliases):
     m = mention("an Apple a day", "Apple")
     assert reloaded.retrieve(fruit_kb, m) == r.retrieve(fruit_kb, m)
     assert reloaded.kb_rows == r.kb_rows
-    assert reloaded.alias_rows == r.alias_rows
+    assert reloaded.alias_table.entries == r.alias_table.entries
 
 
 def test_save_load_round_trip_keeps_both_indexes(tmp_path):
