@@ -12,6 +12,7 @@ from .ensemble import Prediction, VoteInput, vote
 from .errors import InvalidConfig
 from .reranker import DualEncoder, EntityEmbeddingStore, rerank
 from .retriever import RetrievalResult, Retriever
+from .tokenizer import tokenize_around
 
 # Pipeline pieces that ablations may disable.
 TOGGLES = ("ensemble", "at_bm25", "kb_bm25", "desc_bm25")
@@ -47,8 +48,11 @@ class Pipeline:
 
     def link(self, m: MentionRecord, disabled: frozenset[str] = frozenset()) -> LinkedMention:
         check_toggles(disabled)
-        result = self.retriever.retrieve(self.kb, m, disabled=disabled)
-        reranked = rerank(self.model, self.store, m, result.cand1)
+        # One tokenization of the document serves the fine query and the
+        # mention sequence.
+        left, span, right, doc_tokens = tokenize_around(m.text, m.span_start, m.span_end)
+        result = self.retriever.retrieve(self.kb, m, disabled, doc_tokens=doc_tokens)
+        reranked = rerank(self.model, self.store, m, result.cand1, (left, span, right))
         return _decide(m, result, reranked, disabled)
 
     def ablate(self, m: MentionRecord, toggles: Sequence[str]) -> list[LinkedMention]:

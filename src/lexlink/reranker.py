@@ -41,7 +41,7 @@ from .errors import (
     UnknownCandidate,
 )
 from .retriever import CandidateSet, Retriever, merge_coarse
-from .tokenizer import tokenize
+from .tokenizer import TokenStream, tokenize
 
 MODEL_FORMAT_TAG = "lexlink.dual-encoder/1"
 STORE_FORMAT_TAG = "lexlink.entity-store/1"
@@ -96,16 +96,25 @@ class MarkedSequence:
     tokens: tuple[str, ...]
 
 
-def build_mention_sequence(m: MentionRecord, cfg: EncoderConfig) -> MarkedSequence:
+def build_mention_sequence(
+    m: MentionRecord,
+    cfg: EncoderConfig,
+    pieces: tuple[TokenStream, TokenStream, TokenStream] | None = None,
+) -> MarkedSequence:
     """Marker-annotated context window around the mention span.
+
+    ``pieces``, when given, is the tokens of the text before, inside and after
+    the span, as ``tokenizer.tokenize_around`` returns them; otherwise they
+    are tokenized here.
 
     Truncation keeps the marker span intact and drops outermost context
     tokens from whichever side currently has more, left first on ties, so the
     mention stays as centered as the budget allows.
     """
-    left = tokenize(m.text[: m.span_start])
-    span = tokenize(m.text[m.span_start : m.span_end])
-    right = tokenize(m.text[m.span_end :])
+    if pieces is None:
+        text, start, end = m.text, m.span_start, m.span_end
+        pieces = tokenize(text[:start]), tokenize(text[start:end]), tokenize(text[end:])
+    left, span, right = pieces
     core_len = len(span) + 2
     if core_len > cfg.max_len:
         raise MentionTooLong(
@@ -207,7 +216,8 @@ def _init_params(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
 def _pool(feats: SequenceFeatures, params: EncoderParams) -> np.ndarray:
     if feats.buckets.size == 0:
         return np.zeros(params.embedding.shape[1])
-    weighted = params.embedding[feats.buckets] * feats.counts[:, None]
+    weighted = params.embedding.take(feats.buckets, axis=0)  # a copy: the table is never written
+    weighted *= feats.counts[:, None]
     return weighted.sum(axis=0) / feats.token_count
 
 
@@ -238,8 +248,10 @@ class DualEncoder:
             cfg=cfg,
         )
 
-    def encode_mention(self, m: MentionRecord) -> np.ndarray:
-        return encode(build_mention_sequence(m, self.cfg), self.mention_params, self.cfg)
+    def encode_mention(
+        self, m: MentionRecord, pieces: tuple[TokenStream, TokenStream, TokenStream] | None = None
+    ) -> np.ndarray:
+        return encode(build_mention_sequence(m, self.cfg, pieces), self.mention_params, self.cfg)
 
     def encode_entity(self, e: EntityRecord) -> np.ndarray:
         return encode(build_entity_sequence(e, self.cfg), self.entity_params, self.cfg)
@@ -544,11 +556,13 @@ def rerank(
     store: EntityEmbeddingStore,
     m: MentionRecord,
     candidates: CandidateSet,
+    pieces: tuple[TokenStream, TokenStream, TokenStream] | None = None,
 ) -> list[tuple[str, float]]:
-    """Score candidates against the mention, best first, ties by entity id."""
+    """Score candidates against the mention, best first, ties by entity id.
+    ``pieces`` is passed on to ``build_mention_sequence``."""
     if not candidates:
         return []
-    y_m = model.encode_mention(m)
+    y_m = model.encode_mention(m, pieces)
     scored = [(entity_id, score_pair(y_m, store.row(entity_id))) for entity_id in candidates]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored

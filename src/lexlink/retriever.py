@@ -5,7 +5,9 @@ alias-table surface forms, one across knowledge-base entity names. The
 survivors are merged into a duplicate-free candidate list, and the fine layer
 re-retrieves from it with a transient BM25 index over the candidates'
 descriptions, queried with the mention's document text. ``Retriever.retrieve``
-is the one place the two layers are chained.
+is the one place the two layers are chained. A caller that has already
+tokenized the document (``Pipeline.link`` does, once per link, for the fine
+query and the reranker's mention sequence alike) passes the tokens in.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .artifacts import decoding, read_container, write_container
 from .bm25 import Bm25Index, Bm25Params
 from .corpus import AliasEntry, AliasTable, KnowledgeBase, MentionRecord
 from .errors import DataError, InvalidConfig
-from .tokenizer import tokenize
+from .tokenizer import TokenStream, tokenize
 
 AT_FORMAT_TAG = "lexlink.at-index/3"
 KB_FORMAT_TAG = "lexlink.kb-index/3"
@@ -123,9 +125,16 @@ class Retriever:
                     return cand_at, cand_kb
         return cand_at, cand_kb
 
-    def retrieve_fine(self, kb: KnowledgeBase, doc_text: str, cand1: CandidateSet) -> CandidateSet:
+    def retrieve_fine(
+        self,
+        kb: KnowledgeBase,
+        doc_text: str,
+        cand1: CandidateSet,
+        doc_tokens: TokenStream | None = None,
+    ) -> CandidateSet:
         """Rank ``cand1`` by description relevance to the document text, queried
-        with its first ``FINE_QUERY_TOKEN_LIMIT`` tokens.
+        with its first ``FINE_QUERY_TOKEN_LIMIT`` tokens. ``doc_tokens``, when
+        given, is ``tokenize(doc_text)`` computed by the caller.
 
         The description corpus changes per mention, so the index is transient;
         it is built over the candidates' memoized description tokens and holds
@@ -133,7 +142,7 @@ class Retriever:
         """
         if not cand1:
             return []
-        query = tokenize(doc_text)[:FINE_QUERY_TOKEN_LIMIT]
+        query = (tokenize(doc_text) if doc_tokens is None else doc_tokens)[:FINE_QUERY_TOKEN_LIMIT]
         docs = [_description_tokens(kb.lookup(entity_id).description) for entity_id in cand1]
         index = Bm25Index.build(docs, self.config.bm25_params, terms=set(query))
         hits = index.top_k(query, self.config.k_desc) if query else []
@@ -145,13 +154,15 @@ class Retriever:
         mention: MentionRecord,
         disabled: frozenset[str] = frozenset(),
         full: RetrievalResult | None = None,
+        doc_tokens: TokenStream | None = None,
     ) -> RetrievalResult:
         """Full cascade. ``disabled`` may name BM25 stages to leave out
         (``at_bm25``, ``kb_bm25``, ``desc_bm25``), used by ablations.
 
         ``full`` is this mention's result with no stage disabled, when the
         caller has it: its coarse lists are reused, and a Cand1 equal to its
-        Cand1 takes its Cand2 instead of ranking again.
+        Cand1 takes its Cand2 instead of ranking again. ``doc_tokens``, when
+        given, is the document's tokens, passed on to ``retrieve_fine``.
         """
         cand_at, cand_kb = (full.cand_at, full.cand_kb) if full is not None else self.retrieve_coarse(mention.mention)
         if "at_bm25" in disabled:
@@ -164,7 +175,7 @@ class Retriever:
         elif full is not None and cand1 == full.cand1:
             cand2 = full.cand2
         else:
-            cand2 = self.retrieve_fine(kb, mention.text, cand1)
+            cand2 = self.retrieve_fine(kb, mention.text, cand1, doc_tokens)
         return RetrievalResult(
             cand_at=cand_at,
             cand_kb=cand_kb,

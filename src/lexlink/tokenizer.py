@@ -11,6 +11,10 @@ CJK. Python's Unicode ``\\w`` minus ``_`` matches exactly the codepoints for
 which ``str.isalnum()`` is true, so a run is a maximal alphanumeric run. Each
 match is lowercased on its own: lowercasing the whole text first could shift
 runs, because ``'İ'.lower()`` is two codepoints.
+
+``tokenize_around`` tokenizes a document in three pieces around a mention span
+and returns the whole document's tokens beside them, so one pass over the text
+serves both a caller that needs the pieces and one that needs the whole.
 """
 
 from __future__ import annotations
@@ -32,3 +36,26 @@ def tokenize(text: str) -> TokenStream:
     ['gpt', '4', '中', '文']
     """
     return list(map(str.lower, _TOKEN.findall(text)))
+
+
+def tokenize_around(text: str, start: int, end: int) -> tuple[TokenStream, TokenStream, TokenStream, TokenStream]:
+    """``tokenize`` of ``text[:start]``, ``text[start:end]`` and ``text[end:]``,
+    then of the whole ``text``.
+
+    The whole is the three pieces joined unless a cut splits a run (both
+    characters beside it are run characters) or the slices do not partition
+    ``text``; then it is tokenized again. Splitting a run changes its tokens,
+    and ``'Σ'.lower()`` depends on the letters around it.
+
+    >>> tokenize_around("Paris, France", 7, 13)
+    (['paris'], ['france'], [], ['paris', 'france'])
+    """
+    left, span, right = tokenize(text[:start]), tokenize(text[start:end]), tokenize(text[end:])
+    if 0 <= start <= end <= len(text) and not _splits_run(text, start) and not _splits_run(text, end):
+        return left, span, right, left + span + right
+    return left, span, right, tokenize(text)
+
+
+def _splits_run(text: str, cut: int) -> bool:
+    # A CJK match is one character, so a two-character match is a run.
+    return 0 < cut < len(text) and _TOKEN.fullmatch(text, cut - 1, cut + 1) is not None

@@ -1,21 +1,32 @@
-import pytest
+import sys
 
-from lexlink.corpus import MentionRecord
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from lexlink import tokenizer
+from lexlink.corpus import AliasTable, EntityRecord, KnowledgeBase, MentionRecord
 from lexlink.ensemble import VoteInput
+from lexlink.errors import MentionTooLong
 from lexlink.pipeline import RERANKER_ONLY, TOGGLES, Pipeline
-from lexlink.reranker import DualEncoder, EncoderConfig, precompute_entity_embeddings
+from lexlink.reranker import DualEncoder, EncoderConfig, build_mention_sequence, precompute_entity_embeddings, rerank
 from lexlink.retriever import Retriever
+
+
+def make_pipeline(kb, aliases):
+    model = DualEncoder.initialize(EncoderConfig(dim=8, hash_buckets=512, max_len=32, seed=1))
+    return Pipeline(
+        kb=kb,
+        retriever=Retriever.build(kb, aliases),
+        model=model,
+        store=precompute_entity_embeddings(model, kb),
+    )
 
 
 @pytest.fixture
 def pipeline(fruit_kb, fruit_aliases):
-    model = DualEncoder.initialize(EncoderConfig(dim=8, hash_buckets=512, max_len=32, seed=1))
-    return Pipeline(
-        kb=fruit_kb,
-        retriever=Retriever.build(fruit_kb, fruit_aliases),
-        model=model,
-        store=precompute_entity_embeddings(model, fruit_kb),
-    )
+    return make_pipeline(fruit_kb, fruit_aliases)
 
 
 def mention(text, surface):
@@ -81,3 +92,101 @@ def test_ablate_ranks_descriptions_once_per_distinct_cand1(pipeline, surface, ra
     views = pipeline.ablate(record, TOGGLES)
     assert calls == rankings
     assert views == [pipeline.link(record, frozenset(disabled)) for disabled in [(), *((t,) for t in TOGGLES)]]
+
+
+# -- one tokenization of the document per link --------------------------------
+
+
+def at(text, start, end):
+    return MentionRecord(doc_id="d", text=text, span_start=start, span_end=end, mention=text[start:end])
+
+
+@pytest.mark.parametrize(
+    "record,descriptions",
+    [
+        # The span's end cuts "Parisian", its start cuts "iParis": the joined
+        # pieces would query "paris" beside "ian" or "i", which only the
+        # second description holds.
+        (at("Parisian cafe", 0, 5), ["parisian cafe culture", "paris ian", "capital of france"]),
+        (at("iParis cafe", 1, 6), ["iparis cafe", "i paris", "capital of france"]),
+        # Cut before the final sigma: the whole lowercases it to 'ς', the
+        # pieces to "οδο" and 'σ'.
+        (at("ΟΔΟΣ street", 0, 3), ["οδος", "οδο σ", "street"]),
+    ],
+)
+def test_link_equals_the_reference_when_the_span_cuts_a_run(record, descriptions):
+    kb = KnowledgeBase(
+        EntityRecord(id=f"E{i}", name=record.mention, description=d) for i, d in enumerate(descriptions)
+    )
+    p = make_pipeline(kb, AliasTable([]))
+    want = oracles.link(p, record)
+    assert p.link(record) == want
+    # The case can tell: the joined pieces rank the descriptions otherwise.
+    left, span, right, _ = tokenizer.tokenize_around(record.text, record.span_start, record.span_end)
+    assert p.retriever.retrieve_fine(kb, record.text, want.retrieval.cand1, left + span + right) != want.retrieval.cand2
+
+
+def count_tokenized_chars(monkeypatch):
+    """Wrap ``tokenize`` in every lexlink module that holds it; the returned
+    list gets the length of each text tokenized."""
+    original = tokenizer.tokenize
+    lengths = []
+
+    def counting_tokenize(text):
+        lengths.append(len(text))
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "lexlink" or name.startswith("lexlink.")) and getattr(module, "tokenize", None) is original:
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    return lengths
+
+
+@pytest.mark.parametrize(
+    "record,documents",
+    [
+        (mention("I ate an Apple today with a Banana", "Apple"), 1),
+        (mention("Apple trees bear fruit", "Apple"), 1),  # the span starts the text
+        (mention("the fruit of the tree is an Apple", "Apple"), 1),  # and ends it
+        (at("I ate Applesauce from the fruit tree", 6, 11), 2),  # the span cuts "Applesauce"
+    ],
+)
+def test_link_tokenizes_the_document_once_unless_the_span_cuts_a_run(monkeypatch, pipeline, record, documents):
+    want = pipeline.link(record)  # fills the description memo
+    assert want.retrieval.cand1 and want.retrieval.cand2
+    lengths = count_tokenized_chars(monkeypatch)
+    assert pipeline.link(record) == want
+    assert sum(lengths) == len(record.mention) + documents * len(record.text)
+
+
+def test_an_over_long_span_without_candidates_links_to_no_prediction(pipeline):
+    text = " ".join(["zzqx"] * 40)
+    lm = pipeline.link(at(text, 0, len(text)))
+    assert lm.retrieval.cand1 == []
+    assert lm.prediction is None
+
+
+def test_an_over_long_span_with_candidates_raises_mention_too_long(pipeline):
+    text = " ".join(["Apple"] + ["zzqx"] * 40)
+    with pytest.raises(MentionTooLong):
+        pipeline.link(at(text, 0, len(text)))
+
+
+_WORDS = ["Apple", "Banana", "BigA", "fruit", "tree", "cupertino", "Parisian", "ΟΔΟΣ", "中文", "-"]
+
+
+# The pipeline is only read, so one instance may serve every example.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_passing_the_tokens_in_changes_no_result(pipeline, data):
+    text = " ".join(data.draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12), label="words"))
+    start = data.draw(st.integers(0, len(text) - 1), label="start")
+    end = data.draw(st.integers(start + 1, len(text)), label="end")
+    record = at(text, start, end)
+    left, span, right, doc_tokens = tokenizer.tokenize_around(text, start, end)
+    pieces = (left, span, right)
+    kb, retriever, model, store = pipeline.kb, pipeline.retriever, pipeline.model, pipeline.store
+    result = retriever.retrieve(kb, record)
+    assert retriever.retrieve(kb, record, doc_tokens=doc_tokens) == result
+    assert build_mention_sequence(record, model.cfg, pieces) == build_mention_sequence(record, model.cfg)
+    assert rerank(model, store, record, result.cand1, pieces) == rerank(model, store, record, result.cand1)

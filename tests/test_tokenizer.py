@@ -3,11 +3,12 @@ import re
 import string
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lexlink.tokenizer import tokenize
+from lexlink.tokenizer import tokenize, tokenize_around
 
 
 def test_cjk_characters_become_single_tokens():
@@ -82,3 +83,41 @@ def test_word_class_without_underscore_is_exactly_isalnum():
         if not 0xD800 <= cp <= 0xDFFF and bool(alnum.match(chr(cp))) != chr(cp).isalnum()
     ]
     assert mismatches == []
+
+
+# -- one pass for the pieces around a span and the whole ---------------------
+
+# Runs that a cut can split, lowercasings that depend on context ('Σ') or
+# change length ('İ', 'ß' stays one codepoint), CJK, and a combining mark,
+# which is not alphanumeric and so separates runs.
+_AROUND = string.ascii_letters + string.digits + "_ .,-!?'" + "\u03a3\u0130\u00df\u4e2d\u6587\u0301"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_tokenize_around_equals_tokenize_of_each_slice_and_of_the_whole(data):
+    text = data.draw(st.text(alphabet=st.sampled_from(_AROUND), max_size=30), label="text")
+    start = data.draw(st.integers(0, len(text)), label="start")
+    end = data.draw(st.integers(start, len(text)), label="end")
+    left, span, right, whole = tokenize_around(text, start, end)
+    assert (left, span, right) == (tokenize(text[:start]), tokenize(text[start:end]), tokenize(text[end:]))
+    assert whole == tokenize(text)
+
+
+@pytest.mark.parametrize(
+    "text,start,end,pieces,whole",
+    [
+        ("Parisian cafe", 0, 5, ([], ["paris"], ["ian", "cafe"]), ["parisian", "cafe"]),
+        ("ΟΔΟΣ", 0, 3, ([], ["οδο"], ["σ"]), ["οδος"]),
+        ("Paris, France", 7, 13, (["paris"], ["france"], []), ["paris", "france"]),
+    ],
+)
+def test_tokenize_around_examples(text, start, end, pieces, whole):
+    left, span, right, got_whole = tokenize_around(text, start, end)
+    assert ((left, span, right), got_whole) == (pieces, whole)
+
+
+@pytest.mark.parametrize("start,end", [(-2, 5), (5, 2), (3, 99), (99, 120)])
+def test_tokenize_around_tokenizes_the_whole_when_the_slices_do_not_partition_the_text(start, end):
+    text = "Apple pie, Banana split"
+    assert tokenize_around(text, start, end)[3] == tokenize(text)
