@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, NamedTuple
 
 from .errors import InvalidConfig
 from .tokenizer import TokenStream
@@ -32,27 +32,38 @@ class Bm25Params:
             raise InvalidConfig(f"b must be in [0, 1], got {self.b}")
 
 
-@dataclass(frozen=True)
-class ScoredDoc:
+class ScoredDoc(NamedTuple):
     doc_index: int
     score: float
 
 
-def _unique(tokens: TokenStream) -> list[str]:
-    # Duplicated query terms carry no extra signal for short mention queries.
-    return list(dict.fromkeys(tokens))
+class TermCounts(NamedTuple):
+    """A document as its token count and its terms' frequencies."""
+    length: int
+    tfs: dict[str, int]
+
+    @classmethod
+    def of(cls, doc: TokenStream) -> "TermCounts":
+        return cls(len(doc), _term_frequencies(doc))
+
+
+def _term_frequencies(doc: TokenStream) -> dict[str, int]:
+    # Linear like a Counter, and cheaper for short names and aliases.
+    tfs = dict.fromkeys(doc, 0)
+    for token in doc:
+        tfs[token] += 1
+    return tfs
 
 
 class Bm25Index:
     """Immutable inverted index, made by ``build`` and never written to disk:
     the index artifacts hold the rows it is built from, and loading one builds
-    it again. Safe for concurrent queries.
+    it again. Safe for concurrent queries: a query writes only its own scores.
 
     ``postings`` maps each term to its ``(doc index, tf)`` pairs.
-    ``contributions`` maps it to the same postings as one flat list,
-    ``[doc index, contribution, doc index, contribution, ...]``, where a
-    contribution is the term's summand in that document's score. They are
-    computed once here, so a query only adds floats."""
+    ``contributions`` maps it to ``{doc index: contribution}`` over the same
+    postings, where a contribution is the term's summand in that document's
+    score. They are computed once here, so a query only adds floats."""
 
     def __init__(self, postings: dict[str, list[tuple[int, int]]], doc_lengths: list[int], params: Bm25Params):
         self.postings = postings
@@ -64,21 +75,22 @@ class Bm25Index:
         # corpus has no postings, so its norms are never read.
         k1, b, avgdl = params.k1, params.b, self.avg_doc_length or 1.0
         self.norms = norms = [k1 * (1.0 - b + b * n / avgdl) for n in doc_lengths]
-        # One fresh list per term rather than a tuple per posting: a term's
-        # contributions lie together in memory, and loading a large index
-        # leaves the garbage collector no new object per posting to track.
         k1_plus_1 = k1 + 1.0
-        self.contributions: dict[str, list[int | float]] = {}
+        self.contributions: dict[str, dict[int, float]] = {}
         for term, posting in postings.items():
-            idf = self._idf(len(posting))
-            self.contributions[term] = [x for d, tf in posting for x in (d, idf * tf * k1_plus_1 / (tf + norms[d]))]
+            idf = math.log(1.0 + (self.doc_count - len(posting) + 0.5) / (len(posting) + 0.5))
+            self.contributions[term] = {d: idf * tf * k1_plus_1 / (tf + norms[d]) for d, tf in posting}
 
     @classmethod
     def build(
-        cls, docs: list[TokenStream], params: Bm25Params = Bm25Params(), terms: Collection[str] | None = None
+        cls,
+        docs: list[TokenStream | TermCounts],
+        params: Bm25Params = Bm25Params(),
+        terms: Collection[str] | None = None,
     ) -> "Bm25Index":
-        """One document per token stream. Each term's posting lists its
-        documents in ascending order; terms keep first-occurrence order.
+        """One document per token stream, or per ``TermCounts`` of one. Each
+        term's posting lists its documents in ascending order; terms keep
+        first-occurrence order.
 
         An index built for one known query passes its ``terms``: only those
         get postings, while document lengths still count every token, so
@@ -86,39 +98,37 @@ class Bm25Index:
         postings: dict[str, list[tuple[int, int]]] = {}
         doc_lengths: list[int] = []
         for doc_index, doc in enumerate(docs):
-            doc_lengths.append(len(doc))
-            indexed = doc if terms is None else [token for token in doc if token in terms]
-            # Linear like a Counter, and cheaper for short names and aliases.
-            tfs = dict.fromkeys(indexed, 0)
-            for token in indexed:
-                tfs[token] += 1
-            for token, tf in tfs.items():
+            length, tfs = doc if type(doc) is TermCounts else (len(doc), _term_frequencies(doc))
+            doc_lengths.append(length)
+            for token, tf in tfs.items() if terms is None else [(t, tf) for t, tf in tfs.items() if t in terms]:
                 postings.setdefault(token, []).append((doc_index, tf))
         return cls(postings, doc_lengths, params)
 
-    def _idf(self, df: int) -> float:
-        return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-
     def top_k(self, query: TokenStream, k: int) -> list[ScoredDoc]:
         """Up to ``k`` positive-scoring documents, score-descending, ties by
-        ascending doc index."""
+        ascending doc index. Of the documents tied at the k-th score, the
+        lowest indices are kept:
+
+        >>> index = Bm25Index.build([["x"], ["a"], ["a"], ["a"], ["a", "a"]])
+        >>> [hit.doc_index for hit in index.top_k(["a"], 3)]
+        [4, 1, 2]
+        """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         scores: dict[int, float] = {}
-        for token in _unique(query):
-            flat = self.contributions.get(token)
-            if flat is None:
+        # A repeated query term carries no extra signal for short mention queries.
+        for token in dict.fromkeys(query):
+            term = self.contributions.get(token)
+            if term is None:
                 continue
-            pairs = iter(flat)
             if not scores:
-                # The first term found: a posting list holds each document
-                # once, so its contributions are the scores (0.0 + c == c).
-                scores = dict(zip(pairs, pairs))
+                scores = term.copy()  # a copy, so that no query writes to the index
                 continue
-            for doc_index, contribution in zip(pairs, pairs):
-                scores[doc_index] = scores.get(doc_index, 0.0) + contribution
-        # Only documents scoring at least the k-th largest score can rank, so
-        # only those become (-score, doc) tuples to sort.
-        floor = sorted(scores.values(), reverse=True)[k - 1] if len(scores) > k else 0.0
-        ranked = sorted([(-s, d) for d, s in scores.items() if s >= floor and s > 0.0])[:k]
-        return [ScoredDoc(doc_index=d, score=-s) for s, d in ranked]
+            # Python adds only where both hold the document; a document new to
+            # the scores takes the term's contribution (0.0 + c == c).
+            both = {d: scores[d] + term[d] for d in scores.keys() & term.keys()}
+            scores.update(term)
+            scores.update(both)
+        # A stable sort keeps the ascending doc order of equal scores.
+        ranked = sorted(sorted(scores), key=scores.__getitem__, reverse=True)[:k]
+        return [ScoredDoc(d, scores[d]) for d in ranked if scores[d] > 0.0]

@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .artifacts import decoding, read_container, write_container
-from .bm25 import Bm25Index, Bm25Params
+from .bm25 import Bm25Index, Bm25Params, TermCounts
 from .corpus import AliasEntry, AliasTable, KnowledgeBase, MentionRecord
 from .errors import DataError, InvalidConfig
 from .tokenizer import TokenStream, tokenize
@@ -28,9 +28,9 @@ KB_FORMAT_TAG = "lexlink.kb-index/3"
 # encoder's default sequence cap and does not follow ``EncoderConfig.max_len``.
 FINE_QUERY_TOKEN_LIMIT = 128
 
-# Entries of the description -> tokens memo; each takes ≈62 bytes per token
-# plus ≈0.1 KB.
-DESCRIPTION_TOKENS_MEMO_SIZE = 2**12
+# Entries of the description -> term counts memo; each takes ≈90 bytes per
+# distinct term plus ≈0.15 KB.
+DESCRIPTION_COUNTS_MEMO_SIZE = 2**12
 
 # Ordered duplicate-free list of entity ids.
 CandidateSet = list[str]
@@ -137,13 +137,13 @@ class Retriever:
         given, is ``tokenize(doc_text)`` computed by the caller.
 
         The description corpus changes per mention, so the index is transient;
-        it is built over the candidates' memoized description tokens and holds
-        only the query's terms.
+        it is built from the candidates' memoized description term counts and
+        holds only the query's terms.
         """
         if not cand1:
             return []
         query = (tokenize(doc_text) if doc_tokens is None else doc_tokens)[:FINE_QUERY_TOKEN_LIMIT]
-        docs = [_description_tokens(kb.lookup(entity_id).description) for entity_id in cand1]
+        docs = [_description_counts(kb.lookup(entity_id).description) for entity_id in cand1]
         index = Bm25Index.build(docs, self.config.bm25_params, terms=set(query))
         hits = index.top_k(query, self.config.k_desc) if query else []
         return [cand1[hit.doc_index] for hit in hits]
@@ -223,8 +223,8 @@ def _stored_prior(value) -> float:
     return float(value)
 
 
-@functools.lru_cache(maxsize=DESCRIPTION_TOKENS_MEMO_SIZE)
-def _description_tokens(description: str) -> tuple[str, ...]:
-    """A description's tokens, memoized by its text: an edited description is
-    a new key, so it never reads the tokens of the old one."""
-    return tuple(tokenize(description))
+@functools.lru_cache(maxsize=DESCRIPTION_COUNTS_MEMO_SIZE)
+def _description_counts(description: str) -> TermCounts:
+    """A description's term counts, memoized by its text: an edited description
+    is a new key, so it never reads the counts of the old one."""
+    return TermCounts.of(tokenize(description))

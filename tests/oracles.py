@@ -14,7 +14,6 @@ from collections import Counter
 
 import numpy as np
 
-from lexlink.bm25 import Bm25Index
 from lexlink.corpus import Dataset, MentionRecord
 from lexlink.ensemble import Prediction, VoteInput, vote
 from lexlink.evaluation import ABLATION_LABELS, AccuracyReport, accuracy
@@ -133,8 +132,8 @@ def sequence_features(seq: MarkedSequence, cfg: EncoderConfig) -> SequenceFeatur
 
 def link(pipeline: Pipeline, m: MentionRecord, disabled: frozenset[str] = frozenset()) -> LinkedMention:
     """The cascade for one mention, stage after stage, with the stages in
-    ``disabled`` left out: coarse lists, Cand1, a description index over
-    Cand1 queried with the document, rerank over Cand1 and Cand2, vote."""
+    ``disabled`` left out: coarse lists, Cand1, Cand1's descriptions ranked
+    against the document by ``bm25_top_k``, rerank over Cand1 and Cand2, vote."""
     kb, retriever = pipeline.kb, pipeline.retriever
     cand_at, cand_kb = retriever.retrieve_coarse(m.mention)
     if "at_bm25" in disabled:
@@ -144,10 +143,10 @@ def link(pipeline: Pipeline, m: MentionRecord, disabled: frozenset[str] = frozen
     cand1 = merge_coarse(cand_at, cand_kb)
     cand2: list[str] = []
     if cand1 and "desc_bm25" not in disabled:
-        index = Bm25Index.build([tokenize(kb.lookup(e).description) for e in cand1], retriever.config.bm25_params)
+        docs = [tokenize(kb.lookup(e).description) for e in cand1]
         query = tokenize(m.text)[:FINE_QUERY_TOKEN_LIMIT]
-        if query:
-            cand2 = [cand1[hit.doc_index] for hit in index.top_k(query, retriever.config.k_desc)]
+        params = retriever.config.bm25_params
+        cand2 = [cand1[i] for i, _ in bm25_top_k(docs, query, params.k1, params.b, retriever.config.k_desc)]
     retrieval = RetrievalResult(
         cand_at=cand_at,
         cand_kb=cand_kb,

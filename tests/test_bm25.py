@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexlink.bm25 import Bm25Index, Bm25Params
+from lexlink.bm25 import Bm25Index, Bm25Params, TermCounts
 
 from oracles import bm25_ranking, bm25_score, bm25_top_k
 
@@ -157,12 +157,72 @@ _TIE_HEAVY_DOCS = st.lists(st.lists(st.sampled_from("abcd"), max_size=4), min_si
     params=st.sampled_from([Bm25Params(), Bm25Params(k1=0.9, b=0.4), Bm25Params(k1=2.0, b=1.0), Bm25Params(b=0.0)]),
 )
 def test_top_k_equals_the_per_posting_reference_bitwise(docs, query, params):
-    full = Bm25Index.build(docs, params)
-    for_query = Bm25Index.build(docs, params, terms=set(query))
+    indexes = _indexes_for(docs, query, params)
     for k in range(1, len(docs) + 1):
         want = [(doc, score.hex()) for doc, score in bm25_top_k(docs, query, params.k1, params.b, k)]
-        for index in (full, for_query):
+        for index in indexes:
             assert [(hit.doc_index, hit.score.hex()) for hit in index.top_k(query, k)] == want
+
+
+def _indexes_for(docs, query, params):
+    """The three ways to build an index a query can rank with: over every
+    term, over the query's terms, and over term counts for the query's terms."""
+    return (
+        Bm25Index.build(docs, params),
+        Bm25Index.build(docs, params, terms=set(query)),
+        Bm25Index.build([TermCounts.of(doc) for doc in docs], params, terms=set(query)),
+    )
+
+
+def _shared_name_corpus(rng, n_docs=700, vocab=10):
+    """Names of two distinct words over a small vocabulary, as on a KB where
+    many entities share words: every term has ≥100 postings, and most
+    documents are two tokens long, so a one-word query ties at every score.
+    A few one-, three- and repeated-word names vary the length norms."""
+    words = [f"w{i}" for i in range(vocab)]
+    docs = []
+    for i in range(n_docs):
+        name = rng.sample(words, 2)
+        if i % 25 == 0:
+            name = name[:1]
+        elif i % 25 == 1:
+            name.append(rng.choice(words))
+        elif i % 25 == 2:
+            name.append(name[0])
+        docs.append(name)
+    return docs, words
+
+
+def test_top_k_equals_the_reference_bitwise_at_shared_name_scale():
+    rng = random.Random(11)
+    docs, words = _shared_name_corpus(rng)
+    params = Bm25Params()
+    full = Bm25Index.build(docs, params)
+    assert min(len(posting) for posting in full.postings.values()) >= 100
+    tie_beyond_k = set()
+    for _ in range(40):
+        query = rng.choices([*words, "absent"], k=rng.randrange(1, 5))
+        query += rng.sample(query, rng.randrange(len(query) + 1))  # repeats
+        indexes = _indexes_for(docs, query, params)
+        for k in (1, 10, 20):
+            want = bm25_top_k(docs, query, params.k1, params.b, k + 1)
+            if len(want) > k and want[k][1] == want[k - 1][1]:
+                tie_beyond_k.add(k)
+            want = [(doc, score.hex()) for doc, score in want[:k]]
+            for index in indexes:
+                assert [(hit.doc_index, hit.score.hex()) for hit in index.top_k(query, k)] == want
+    assert tie_beyond_k == {1, 10, 20}  # more documents tie at the k-th score than fit
+
+
+def test_queries_leave_the_index_as_built():
+    rng = random.Random(12)
+    docs, words = _shared_name_corpus(rng)
+    index = Bm25Index.build(docs)
+    for _ in range(200):
+        index.top_k(rng.choices(words, k=rng.randrange(1, 5)), rng.choice((1, 10, 20)))
+    fresh = Bm25Index.build(docs)
+    assert index.postings == fresh.postings
+    assert index.contributions == fresh.contributions
 
 
 def test_an_index_built_for_a_query_holds_only_its_terms():

@@ -11,11 +11,11 @@ from lexlink.errors import ArtifactFormatError, DataError, StaleIndex
 from lexlink.pipeline import Pipeline
 from lexlink.reranker import DualEncoder, EncoderConfig, precompute_entity_embeddings
 from lexlink.retriever import (
-    DESCRIPTION_TOKENS_MEMO_SIZE,
+    DESCRIPTION_COUNTS_MEMO_SIZE,
     FINE_QUERY_TOKEN_LIMIT,
     Retriever,
     RetrieverConfig,
-    _description_tokens,
+    _description_counts,
     merge_coarse,
 )
 from lexlink.tokenizer import tokenize
@@ -329,17 +329,17 @@ def test_the_description_memo_keeps_edited_kbs_apart(fruit_kb, fruit_aliases):
     ]
     m = mention("I bought an Apple phone from the fruit tree", "Apple")
     assert len({tuple(oracles.link(p, m).retrieval.cand2) for p in pipelines}) == 2
-    _description_tokens.cache_clear()
+    _description_counts.cache_clear()
     for _ in range(2):
         for p in pipelines:
             assert p.link(m) == oracles.link(p, m)
 
 
 def test_the_description_memo_is_bounded_and_exact_after_eviction():
-    assert _description_tokens.cache_info().maxsize == DESCRIPTION_TOKENS_MEMO_SIZE
+    assert _description_counts.cache_info().maxsize == DESCRIPTION_COUNTS_MEMO_SIZE
     rng = random.Random(8)
     words = ["alpha", "beta", "gamma", "delta"]
-    n = DESCRIPTION_TOKENS_MEMO_SIZE + 256
+    n = DESCRIPTION_COUNTS_MEMO_SIZE + 256
     descriptions = [" ".join([f"d{i}", *rng.choices(words, k=rng.randrange(6))]) for i in range(n)]
     kb = KnowledgeBase(EntityRecord(id=f"E{i}", name=f"name{i}", description=d) for i, d in enumerate(descriptions))
     r = Retriever.build(kb, AliasTable([]))
@@ -352,14 +352,14 @@ def test_the_description_memo_is_bounded_and_exact_after_eviction():
 
     ids = [e.id for e in kb.entities]
     first, *crowd = [ids[i : i + 32] for i in range(0, len(ids), 32)]
-    _description_tokens.cache_clear()
+    _description_counts.cache_clear()
     assert_ranked_as_the_oracle(first)
     for cand1 in crowd:
         assert_ranked_as_the_oracle(cand1)
-    assert _description_tokens.cache_info().currsize == DESCRIPTION_TOKENS_MEMO_SIZE
-    misses = _description_tokens.cache_info().misses
+    assert _description_counts.cache_info().currsize == DESCRIPTION_COUNTS_MEMO_SIZE
+    misses = _description_counts.cache_info().misses
     assert_ranked_as_the_oracle(first)
-    assert _description_tokens.cache_info().misses == misses + len(first)  # evicted, so tokenized again
+    assert _description_counts.cache_info().misses == misses + len(first)  # evicted, so tokenized again
 
 
 def test_the_fine_stage_tokenizes_each_description_once(monkeypatch, fruit_kb, retriever):
@@ -370,7 +370,7 @@ def test_the_fine_stage_tokenizes_each_description_once(monkeypatch, fruit_kb, r
         return tokenize(text)
 
     monkeypatch.setattr(retriever_module, "tokenize", counting_tokenize)
-    _description_tokens.cache_clear()
+    _description_counts.cache_clear()
     doc_text = "an apple from the fruit tree"
     for _ in range(2):
         assert retriever.retrieve_fine(fruit_kb, doc_text, ["Q1", "Q2", "Q3"])
