@@ -13,6 +13,7 @@ excluded from rankings and tie-breaking stays well defined.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Collection, NamedTuple
 
@@ -60,10 +61,11 @@ class Bm25Index:
     the index artifacts hold the rows it is built from, and loading one builds
     it again. Safe for concurrent queries: a query writes only its own scores.
 
-    ``postings`` maps each term to its ``(doc index, tf)`` pairs.
+    ``postings`` maps each term to its ``(doc index, tf)`` pairs, by doc index.
     ``contributions`` maps it to ``{doc index: contribution}`` over the same
     postings, where a contribution is the term's summand in that document's
-    score. They are computed once here, so a query only adds floats."""
+    score, and ``ranked`` to its documents by descending contribution, ties by
+    doc index. They are computed once here, so a query only adds floats."""
 
     def __init__(self, postings: dict[str, list[tuple[int, int]]], doc_lengths: list[int], params: Bm25Params):
         self.postings = postings
@@ -77,9 +79,12 @@ class Bm25Index:
         self.norms = norms = [k1 * (1.0 - b + b * n / avgdl) for n in doc_lengths]
         k1_plus_1 = k1 + 1.0
         self.contributions: dict[str, dict[int, float]] = {}
+        self.ranked: dict[str, list[int]] = {}
         for term, posting in postings.items():
             idf = math.log(1.0 + (self.doc_count - len(posting) + 0.5) / (len(posting) + 0.5))
-            self.contributions[term] = {d: idf * tf * k1_plus_1 / (tf + norms[d]) for d, tf in posting}
+            self.contributions[term] = term_map = {d: idf * tf * k1_plus_1 / (tf + norms[d]) for d, tf in posting}
+            # A stable sort keeps the ascending doc order of equal contributions.
+            self.ranked[term] = sorted(term_map, key=term_map.__getitem__, reverse=True)
 
     @classmethod
     def build(
@@ -88,8 +93,9 @@ class Bm25Index:
         params: Bm25Params = Bm25Params(),
         terms: Collection[str] | None = None,
     ) -> "Bm25Index":
-        """One document per token stream, or per ``TermCounts`` of one. Each
-        term's posting lists its documents in ascending order; terms keep
+        """One document per token stream, or per ``TermCounts`` of one; a
+        ``str`` or a mapping is refused with ``TypeError``. Each term's
+        posting lists its documents in ascending order; terms keep
         first-occurrence order.
 
         An index built for one known query passes its ``terms``: only those
@@ -98,6 +104,8 @@ class Bm25Index:
         postings: dict[str, list[tuple[int, int]]] = {}
         doc_lengths: list[int] = []
         for doc_index, doc in enumerate(docs):
+            if type(doc) not in (TermCounts, list) and isinstance(doc, (str, Mapping)):  # would index chars or keys
+                raise TypeError(f"document {doc_index} is a {type(doc).__name__}, not a token stream or TermCounts")
             length, tfs = doc if type(doc) is TermCounts else (len(doc), _term_frequencies(doc))
             doc_lengths.append(length)
             for token, tf in tfs.items() if terms is None else [(t, tf) for t, tf in tfs.items() if t in terms]:
@@ -112,23 +120,43 @@ class Bm25Index:
         >>> index = Bm25Index.build([["x"], ["a"], ["a"], ["a"], ["a", "a"]])
         >>> [hit.doc_index for hit in index.top_k(["a"], 3)]
         [4, 1, 2]
+
+        Only two kinds of document are scored: those holding two or more
+        query terms, and the first ``k`` of each term's ranking. Any other
+        holds one term, and ``k`` documents before it in that term's ranking
+        score at least as much and win ties. One last in every ranking may
+        still come first:
+
+        >>> index = Bm25Index.build([["a"]] * 5 + [["b"]] * 5 + [["a", "b"]])
+        >>> [hit.doc_index for hit in index.top_k(["a", "b"], 2)]
+        [10, 0]
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        # The unique query terms the index holds, in query order: a repeated
+        # query term carries no extra signal for short mention queries.
+        terms = sorted(self.contributions.keys() & query, key=query.index)
+        if not terms:
+            return []
+        maps = [self.contributions[t] for t in terms]
+        if len(terms) == 1:
+            return [ScoredDoc(d, maps[0][d]) for d in self.ranked[terms[0]][:k] if maps[0][d] > 0.0]
         scores: dict[int, float] = {}
-        # A repeated query term carries no extra signal for short mention queries.
-        for token in dict.fromkeys(query):
-            term = self.contributions.get(token)
-            if term is None:
-                continue
-            if not scores:
-                scores = term.copy()  # a copy, so that no query writes to the index
-                continue
-            # Python adds only where both hold the document; a document new to
-            # the scores takes the term's contribution (0.0 + c == c).
-            both = {d: scores[d] + term[d] for d in scores.keys() & term.keys()}
-            scores.update(term)
-            scores.update(both)
+        for t, term_map in zip(terms, maps):
+            scores.update({d: term_map[d] for d in self.ranked[t][:k]})
+        # The documents in two or more terms' maps.
+        seen = maps[0].keys()
+        overlap = maps[1].keys() & seen
+        for j in range(2, len(maps)):
+            seen = seen | maps[j - 1].keys()
+            overlap |= maps[j].keys() & seen
+        # A left fold from 0.0 in query order, as a per-term merge adds; not a compensated sum.
+        for d in overlap:
+            score = 0.0
+            for term_map in maps:
+                if d in term_map:
+                    score += term_map[d]
+            scores[d] = score
         # A stable sort keeps the ascending doc order of equal scores.
-        ranked = sorted(sorted(scores), key=scores.__getitem__, reverse=True)[:k]
-        return [ScoredDoc(d, scores[d]) for d in ranked if scores[d] > 0.0]
+        top = sorted(sorted(scores), key=scores.__getitem__, reverse=True)[:k]
+        return [ScoredDoc(d, scores[d]) for d in top if scores[d] > 0.0]

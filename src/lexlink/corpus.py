@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -77,7 +78,8 @@ class AliasEntry:
 
 
 class AliasTable:
-    """Alias entries bucketed by alias string.
+    """Alias entries bucketed by alias string: ``by_alias`` maps each alias to
+    its entries' positions in ``entries``.
 
     Buckets are ordered prior-descending with ties broken by entity id, which
     is the expansion order used by the alias retrieval stage.
@@ -97,9 +99,6 @@ class AliasTable:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def entries_for(self, alias: str) -> list[AliasEntry]:
-        return [self.entries[p] for p in self.by_alias.get(alias, [])]
 
 
 @dataclass(frozen=True)
@@ -217,10 +216,11 @@ def load_mentions(path, split: str = "test") -> Dataset:
 
 
 def _entity_line(entity: EntityRecord) -> str:
-    return json.dumps(
-        {"id": entity.id, "name": entity.name, "desc": entity.description},
-        ensure_ascii=False,
-    ) + "\n"
+    # The text of json.dumps(..., ensure_ascii=False), from the string encoder it calls.
+    return (
+        f'{{"id": {_json_str(entity.id)}, "name": {_json_str(entity.name)}, '
+        f'"desc": {_json_str(entity.description)}}}\n'
+    )
 
 
 def _alias_line(entry: AliasEntry) -> str:

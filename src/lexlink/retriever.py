@@ -110,17 +110,17 @@ class Retriever:
         cand_kb = [self.kb_rows[hit.doc_index][0] for hit in kb_hits]
 
         at_hits = self.at_index.top_k(query, self.config.k_at) if self.at_index.doc_count else []
+        entries, by_alias = self.alias_table.entries, self.alias_table.by_alias
+        width = 1 if self.config.alias_expansion == "best" else None
         cand_at: CandidateSet = []
         seen: set[str] = set()
         for hit in at_hits:
-            bucket = self.alias_table.entries_for(self.alias_table.entries[hit.doc_index].alias)
-            if self.config.alias_expansion == "best":
-                bucket = bucket[:1]
-            for entry in bucket:
-                if entry.entity_id in seen:
+            for position in by_alias[entries[hit.doc_index].alias][:width]:
+                entity_id = entries[position].entity_id
+                if entity_id in seen:
                     continue
-                seen.add(entry.entity_id)
-                cand_at.append(entry.entity_id)
+                seen.add(entity_id)
+                cand_at.append(entity_id)
                 if len(cand_at) == self.config.k_at:
                     return cand_at, cand_kb
         return cand_at, cand_kb

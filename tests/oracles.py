@@ -3,18 +3,20 @@
 These deliberately avoid the library's fast paths: BM25 evaluates the scoring
 formula term by term over raw token lists, the tokenizer classifies text one
 character at a time, the featurizer hashes every n-gram of every token, and
-the ablation links the whole dataset once per row.
+the ablation links the whole dataset once per row, and a knowledge-base line
+is written by ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import zlib
 from collections import Counter
 
 import numpy as np
 
-from lexlink.corpus import Dataset, MentionRecord
+from lexlink.corpus import Dataset, EntityRecord, MentionRecord
 from lexlink.ensemble import Prediction, VoteInput, vote
 from lexlink.evaluation import ABLATION_LABELS, AccuracyReport, accuracy
 from lexlink.pipeline import RERANKER_ONLY, TOGGLES, LinkedMention, Pipeline
@@ -74,6 +76,12 @@ def bm25_top_k(docs: list[list[str]], query: list[str], k1: float, b: float, k: 
             scores[i] = scores.get(i, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
     positive = sorted((-s, i) for i, s in scores.items() if s > 0.0)
     return [(i, -s) for s, i in positive[:k]]
+
+
+def entity_line(entity: EntityRecord) -> str:
+    """An entity's knowledge-base line: its ``{"id", "name", "desc"}`` object
+    as ``json.dumps`` writes it, without escaping non-ASCII text."""
+    return json.dumps({"id": entity.id, "name": entity.name, "desc": entity.description}, ensure_ascii=False) + "\n"
 
 
 # CJK Unified Ideographs, Extension A, Compatibility Ideographs.

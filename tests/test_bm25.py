@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -48,6 +49,19 @@ def test_build_allows_empty_documents():
     index = Bm25Index.build([[], ["x"]])
     assert index.doc_lengths == [0, 1]
     assert [d.doc_index for d in index.top_k(["x"], 5)] == [1]
+
+
+@pytest.mark.parametrize("doc", ["apple pie", {"apple": 2, "pie": 1}])
+def test_build_refuses_a_str_or_a_mapping_as_a_document(doc):
+    # Either would be indexed as its characters or keys, each with tf 1.
+    with pytest.raises(TypeError, match="document 1 is a (str|dict)"):
+        Bm25Index.build([["apple"], doc])
+
+
+def test_build_takes_a_tuple_or_term_counts_as_a_token_stream():
+    want = Bm25Index.build([["apple", "pie", "apple"]]).postings
+    assert Bm25Index.build([("apple", "pie", "apple")]).postings == want
+    assert Bm25Index.build([TermCounts.of(["apple", "pie", "apple"])]).postings == want
 
 
 # -- score -------------------------------------------------------------------
@@ -178,7 +192,9 @@ def _shared_name_corpus(rng, n_docs=700, vocab=10):
     """Names of two distinct words over a small vocabulary, as on a KB where
     many entities share words: every term has ≥100 postings, and most
     documents are two tokens long, so a one-word query ties at every score.
-    A few one-, three- and repeated-word names vary the length norms."""
+    A few one-, three- and repeated-word names vary the length norms, and a
+    few names padded with words of their own rank below most others in
+    both their words' rankings."""
     words = [f"w{i}" for i in range(vocab)]
     docs = []
     for i in range(n_docs):
@@ -189,6 +205,8 @@ def _shared_name_corpus(rng, n_docs=700, vocab=10):
             name.append(rng.choice(words))
         elif i % 25 == 2:
             name.append(name[0])
+        elif i % 25 in (3, 4):
+            name += [f"pad{i}"] * rng.randrange(1, 3)
         docs.append(name)
     return docs, words
 
@@ -198,20 +216,34 @@ def test_top_k_equals_the_reference_bitwise_at_shared_name_scale():
     docs, words = _shared_name_corpus(rng)
     params = Bm25Params()
     full = Bm25Index.build(docs, params)
-    assert min(len(posting) for posting in full.postings.values()) >= 100
+    assert min(len(full.postings[word]) for word in words) >= 100
+    place = {term: {doc: i for i, doc in enumerate(ranked)} for term, ranked in full.ranked.items()}
     tie_beyond_k = set()
-    for _ in range(40):
-        query = rng.choices([*words, "absent"], k=rng.randrange(1, 5))
+    deep_overlap_hits = last_prefix_hits = unsummed_folds = 0
+    for _ in range(60):
+        query = rng.choices([*words, "absent", "pad3", "pad4"], k=rng.randrange(1, 6))
         query += rng.sample(query, rng.randrange(len(query) + 1))  # repeats
         indexes = _indexes_for(docs, query, params)
-        for k in (1, 10, 20):
+        terms = [t for t in dict.fromkeys(query) if t in full.contributions]
+        for k in (1, 10, 20, len(docs) + 1):
             want = bm25_top_k(docs, query, params.k1, params.b, k + 1)
             if len(want) > k and want[k][1] == want[k - 1][1]:
                 tie_beyond_k.add(k)
-            want = [(doc, score.hex()) for doc, score in want[:k]]
+            want = want[:k]
+            for doc, score in want:
+                held = [t for t in terms if doc in full.contributions[t]]
+                depth = min(place[t][doc] for t in held)
+                # A hit holding two terms outside every term's first k, and one
+                # holding one of several query terms at the k-th place of its ranking.
+                deep_overlap_hits += len(held) > 1 and depth >= k
+                last_prefix_hits += len(held) == 1 < len(terms) and depth == k - 1
+                unsummed_folds += math.fsum(full.contributions[t][doc] for t in held) != score
+            want = [(doc, score.hex()) for doc, score in want]
             for index in indexes:
                 assert [(hit.doc_index, hit.score.hex()) for hit in index.top_k(query, k)] == want
     assert tie_beyond_k == {1, 10, 20}  # more documents tie at the k-th score than fit
+    assert deep_overlap_hits > 0 and last_prefix_hits > 0
+    assert unsummed_folds > 0  # a compensated sum would give other floats
 
 
 def test_queries_leave_the_index_as_built():
@@ -223,6 +255,16 @@ def test_queries_leave_the_index_as_built():
     fresh = Bm25Index.build(docs)
     assert index.postings == fresh.postings
     assert index.contributions == fresh.contributions
+    assert index.ranked == fresh.ranked
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=_TIE_HEAVY_DOCS, params=st.sampled_from([Bm25Params(), Bm25Params(k1=0.9, b=0.4), Bm25Params(b=0.0)]))
+def test_each_term_ranks_its_documents_by_descending_contribution_then_ascending_index(docs, params):
+    index = Bm25Index.build(docs, params)
+    assert index.ranked.keys() == index.contributions.keys()
+    for term, term_map in index.contributions.items():
+        assert index.ranked[term] == sorted(term_map, key=lambda d: (-term_map[d], d))
 
 
 def test_an_index_built_for_a_query_holds_only_its_terms():

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lexlink.corpus import (
     AliasEntry,
@@ -25,6 +28,8 @@ from lexlink.errors import (
     PriorSumExceeded,
     SpanMismatch,
 )
+
+from oracles import entity_line
 
 
 def write_lines(path, lines):
@@ -88,7 +93,7 @@ def test_alias_buckets_sorted_by_prior_descending(tmp_path):
         {"alias": "BigA", "entity_id": "Q1", "prior": 0.3},
     ])
     at = load_alias_table(path)
-    assert [e.entity_id for e in at.entries_for("BigA")] == ["Q2", "Q1"]
+    assert [at.entries[p].entity_id for p in at.by_alias["BigA"]] == ["Q2", "Q1"]
 
 
 def test_alias_equal_priors_tie_break_by_entity_id(tmp_path):
@@ -98,7 +103,7 @@ def test_alias_equal_priors_tie_break_by_entity_id(tmp_path):
         {"alias": "X", "entity_id": "Q3", "prior": 0.5},
     ])
     at = load_alias_table(path)
-    assert [e.entity_id for e in at.entries_for("X")] == ["Q3", "Q9"]
+    assert [at.entries[p].entity_id for p in at.by_alias["X"]] == ["Q3", "Q9"]
 
 
 def test_alias_prior_out_of_range(tmp_path):
@@ -296,3 +301,34 @@ def test_kb_fingerprint_changes_with_content(fruit_kb):
     ])
     assert fruit_kb.fingerprint() != other.fingerprint()
     assert fruit_kb.fingerprint() == KnowledgeBase(list(fruit_kb.entities)).fingerprint()
+
+
+# Text that JSON escapes, or writes as is although a naive encoder might not:
+# quotes, backslashes, control characters, U+2028 and non-BMP characters.
+_JSON_TRICKY_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\u2029", "\U0001F600"]),
+        st.characters(codec="utf-8"),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.builds(EntityRecord, _JSON_TRICKY_TEXT, _JSON_TRICKY_TEXT, _JSON_TRICKY_TEXT), max_size=4))
+def test_kb_fingerprint_and_file_are_the_json_dumps_bytes(tmp_path, entities):
+    kb = KnowledgeBase({entity.id: entity for entity in entities}.values())
+    want = "".join(entity_line(entity) for entity in kb.entities).encode("utf-8")
+    assert kb.fingerprint() == hashlib.sha256(want).hexdigest()
+    save_knowledge_base(kb, tmp_path / "kb.jsonl")
+    assert (tmp_path / "kb.jsonl").read_bytes() == want
+
+
+def test_kb_fingerprint_and_file_refuse_a_lone_surrogate(tmp_path):
+    kb = KnowledgeBase([EntityRecord(id="Q1", name="a\udc80", description="")])
+    with pytest.raises(UnicodeEncodeError):
+        entity_line(kb.entities[0]).encode("utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        kb.fingerprint()
+    with pytest.raises(UnicodeEncodeError):
+        save_knowledge_base(kb, tmp_path / "kb.jsonl")
