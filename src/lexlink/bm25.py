@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from typing import Collection, NamedTuple
 
 from .errors import InvalidConfig
@@ -62,10 +64,14 @@ class Bm25Index:
     it again. Safe for concurrent queries: a query writes only its own scores.
 
     ``postings`` maps each term to its ``(doc index, tf)`` pairs, by doc index.
-    ``contributions`` maps it to ``{doc index: contribution}`` over the same
-    postings, where a contribution is the term's summand in that document's
-    score, and ``ranked`` to its documents by descending contribution, ties by
-    doc index. They are computed once here, so a query only adds floats."""
+    ``contributions`` maps it to ``{doc index: contribution}`` (the term's
+    summand in that document's score), built once here best first, ties by
+    ascending doc index: a query only adds floats and reads map prefixes.
+
+    >>> index = Bm25Index.build([["a", "b"], ["a"], ["b"], ["a", "a"]])
+    >>> list(index.contributions["a"])
+    [3, 1, 0]
+    """
 
     def __init__(self, postings: dict[str, list[tuple[int, int]]], doc_lengths: list[int], params: Bm25Params):
         self.postings = postings
@@ -76,15 +82,14 @@ class Bm25Index:
         # Per-document length norm k1 * (1 - b + b * |d| / avgdl). An all-empty
         # corpus has no postings, so its norms are never read.
         k1, b, avgdl = params.k1, params.b, self.avg_doc_length or 1.0
-        self.norms = norms = [k1 * (1.0 - b + b * n / avgdl) for n in doc_lengths]
+        norms = [k1 * (1.0 - b + b * n / avgdl) for n in doc_lengths]
         k1_plus_1 = k1 + 1.0
         self.contributions: dict[str, dict[int, float]] = {}
-        self.ranked: dict[str, list[int]] = {}
         for term, posting in postings.items():
             idf = math.log(1.0 + (self.doc_count - len(posting) + 0.5) / (len(posting) + 0.5))
-            self.contributions[term] = term_map = {d: idf * tf * k1_plus_1 / (tf + norms[d]) for d, tf in posting}
             # A stable sort keeps the ascending doc order of equal contributions.
-            self.ranked[term] = sorted(term_map, key=term_map.__getitem__, reverse=True)
+            pairs = [(d, idf * tf * k1_plus_1 / (tf + norms[d])) for d, tf in posting]
+            self.contributions[term] = dict(sorted(pairs, key=itemgetter(1), reverse=True))
 
     @classmethod
     def build(
@@ -140,10 +145,10 @@ class Bm25Index:
             return []
         maps = [self.contributions[t] for t in terms]
         if len(terms) == 1:
-            return [ScoredDoc(d, maps[0][d]) for d in self.ranked[terms[0]][:k] if maps[0][d] > 0.0]
+            return [ScoredDoc(d, c) for d, c in islice(maps[0].items(), k) if c > 0.0]
         scores: dict[int, float] = {}
-        for t, term_map in zip(terms, maps):
-            scores.update({d: term_map[d] for d in self.ranked[t][:k]})
+        for term_map in maps:
+            scores.update(islice(term_map.items(), k))
         # The documents in two or more terms' maps.
         seen = maps[0].keys()
         overlap = maps[1].keys() & seen

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import ENV_CONFIG_VAR, FIELD_TYPES, PipelineConfig, load_config
 from .corpus import KnowledgeBase, load_alias_table, load_knowledge_base, load_mentions
-from .errors import DataError
+from .errors import DataError, StaleStore
 from .evaluation import (
     accuracy_table_text,
     evaluate_dataset,
@@ -23,7 +23,7 @@ from .evaluation import (
     write_json_report,
 )
 from .pipeline import TOGGLES, LinkedMention, Pipeline, check_toggles
-from .reranker import DualEncoder, EntityEmbeddingStore, precompute_entity_embeddings, train
+from .reranker import DualEncoder, EntityEmbeddingStore, entity_encoder_digest, precompute_entity_embeddings, train
 from .retriever import Retriever
 from .synth import SynthSpec, generate_synthetic
 
@@ -64,6 +64,10 @@ def _load_pipeline(cfg: PipelineConfig) -> Pipeline:
     retriever = _load_retriever(cfg, kb)
     model = DualEncoder.load(cfg.model)
     store = EntityEmbeddingStore.load(cfg.store, kb)
+    if store.encoder_digest != entity_encoder_digest(model):
+        raise StaleStore(
+            f"{cfg.store}: stale entity store: embedded by another model than {cfg.model}; rerun embed-entities"
+        )
     return Pipeline(kb=kb, retriever=retriever, model=model, store=store)
 
 

@@ -44,7 +44,7 @@ from .retriever import CandidateSet, Retriever, merge_coarse
 from .tokenizer import TokenStream, tokenize
 
 MODEL_FORMAT_TAG = "lexlink.dual-encoder/1"
-STORE_FORMAT_TAG = "lexlink.entity-store/1"
+STORE_FORMAT_TAG = "lexlink.entity-store/2"
 
 # Largest (hash_buckets + dim) * dim accepted: the float64 embedding table and
 # projection of one of the model's two encoders, 1 GiB at this limit.
@@ -197,9 +197,6 @@ class EncoderParams:
     embedding: np.ndarray  # (hash_buckets, dim)
     projection: np.ndarray  # (dim, dim)
     bias: np.ndarray  # (dim,)
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.embedding.copy(), self.projection.copy(), self.bias.copy())
 
 
 def _init_params(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
@@ -519,6 +516,7 @@ class EntityEmbeddingStore:
     matrix: np.ndarray  # (n_entities, dim)
     entity_ids: list[str]
     kb_fingerprint: str
+    encoder_digest: str  # entity_encoder_digest of the model that embedded it
 
     def __post_init__(self):
         self._row_of = {entity_id: row for row, entity_id in enumerate(self.entity_ids)}
@@ -529,7 +527,8 @@ class EntityEmbeddingStore:
         return self.matrix[self._row_of[entity_id]]
 
     def save(self, path) -> None:
-        write_container(path, STORE_FORMAT_TAG, {"kb_fingerprint": self.kb_fingerprint}, {"values": self.matrix})
+        meta = {"kb_fingerprint": self.kb_fingerprint, "encoder_digest": self.encoder_digest}
+        write_container(path, STORE_FORMAT_TAG, meta, {"values": self.matrix})
 
     @classmethod
     def load(cls, path, kb: KnowledgeBase) -> "EntityEmbeddingStore":
@@ -542,13 +541,22 @@ class EntityEmbeddingStore:
             matrix = arrays["values"]
             if matrix.shape[0] != len(kb):
                 raise StaleStore(f"entity store has {matrix.shape[0]} rows for a KB of {len(kb)} entities")
-            return cls(matrix=matrix, entity_ids=[e.id for e in kb.entities], kb_fingerprint=meta["kb_fingerprint"])
+            return cls(matrix, [e.id for e in kb.entities], meta["kb_fingerprint"], meta["encoder_digest"])
+
+
+def entity_encoder_digest(model: DualEncoder) -> str:
+    """CRC-32, in hex, of the entity encoder's three arrays: a store records
+    it, so that a store embedded by another model can be told apart."""
+    crc = 0
+    for array in (model.entity_params.embedding, model.entity_params.projection, model.entity_params.bias):
+        crc = zlib.crc32(np.ascontiguousarray(array, dtype="<f8").data, crc)
+    return f"{crc:08x}"
 
 
 def precompute_entity_embeddings(model: DualEncoder, kb: KnowledgeBase) -> EntityEmbeddingStore:
     rows = [model.encode_entity(entity) for entity in kb.entities]
     matrix = np.stack(rows) if rows else np.zeros((0, model.cfg.dim))
-    return EntityEmbeddingStore(matrix=matrix, entity_ids=[e.id for e in kb.entities], kb_fingerprint=kb.fingerprint())
+    return EntityEmbeddingStore(matrix, [e.id for e in kb.entities], kb.fingerprint(), entity_encoder_digest(model))
 
 
 def rerank(

@@ -106,10 +106,10 @@ class Retriever:
         if not query:
             return [], []
 
-        kb_hits = self.kb_index.top_k(query, self.config.k_kb) if self.kb_index.doc_count else []
+        kb_hits = self.kb_index.top_k(query, self.config.k_kb)
         cand_kb = [self.kb_rows[hit.doc_index][0] for hit in kb_hits]
 
-        at_hits = self.at_index.top_k(query, self.config.k_at) if self.at_index.doc_count else []
+        at_hits = self.at_index.top_k(query, self.config.k_at)
         entries, by_alias = self.alias_table.entries, self.alias_table.by_alias
         width = 1 if self.config.alias_expansion == "best" else None
         cand_at: CandidateSet = []
@@ -145,7 +145,7 @@ class Retriever:
         query = (tokenize(doc_text) if doc_tokens is None else doc_tokens)[:FINE_QUERY_TOKEN_LIMIT]
         docs = [_description_counts(kb.lookup(entity_id).description) for entity_id in cand1]
         index = Bm25Index.build(docs, self.config.bm25_params, terms=set(query))
-        hits = index.top_k(query, self.config.k_desc) if query else []
+        hits = index.top_k(query, self.config.k_desc)
         return [cand1[hit.doc_index] for hit in hits]
 
     def retrieve(

@@ -78,6 +78,18 @@ def bm25_top_k(docs: list[list[str]], query: list[str], k1: float, b: float, k: 
     return [(i, -s) for s, i in positive[:k]]
 
 
+def term_map_items(index) -> dict[str, list[tuple[int, float]]]:
+    """Each term's ``(doc index, contribution)`` pairs in the order its map
+    iterates, so that ``==`` compares that order too."""
+    return {term: list(term_map.items()) for term, term_map in index.contributions.items()}
+
+
+def bm25_term_rankings(index) -> dict[str, list[tuple[int, float]]]:
+    """The same pairs ranked by descending contribution, ties by ascending doc
+    index: the order each map must iterate in."""
+    return {term: sorted(pairs, key=lambda pair: (-pair[1], pair[0])) for term, pairs in term_map_items(index).items()}
+
+
 def entity_line(entity: EntityRecord) -> str:
     """An entity's knowledge-base line: its ``{"id", "name", "desc"}`` object
     as ``json.dumps`` writes it, without escaping non-ASCII text."""

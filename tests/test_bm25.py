@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lexlink.bm25 import Bm25Index, Bm25Params, TermCounts
 
-from oracles import bm25_ranking, bm25_score, bm25_top_k
+from oracles import bm25_ranking, bm25_score, bm25_term_rankings, bm25_top_k, term_map_items
 
 
 def random_corpus(rng, max_docs=100, max_vocab=50):
@@ -217,7 +217,7 @@ def test_top_k_equals_the_reference_bitwise_at_shared_name_scale():
     params = Bm25Params()
     full = Bm25Index.build(docs, params)
     assert min(len(full.postings[word]) for word in words) >= 100
-    place = {term: {doc: i for i, doc in enumerate(ranked)} for term, ranked in full.ranked.items()}
+    place = {term: {doc: i for i, doc in enumerate(term_map)} for term, term_map in full.contributions.items()}
     tie_beyond_k = set()
     deep_overlap_hits = last_prefix_hits = unsummed_folds = 0
     for _ in range(60):
@@ -254,17 +254,17 @@ def test_queries_leave_the_index_as_built():
         index.top_k(rng.choices(words, k=rng.randrange(1, 5)), rng.choice((1, 10, 20)))
     fresh = Bm25Index.build(docs)
     assert index.postings == fresh.postings
-    assert index.contributions == fresh.contributions
-    assert index.ranked == fresh.ranked
+    assert term_map_items(index) == bm25_term_rankings(fresh)
 
 
 @settings(max_examples=200, deadline=None)
 @given(docs=_TIE_HEAVY_DOCS, params=st.sampled_from([Bm25Params(), Bm25Params(k1=0.9, b=0.4), Bm25Params(b=0.0)]))
 def test_each_term_ranks_its_documents_by_descending_contribution_then_ascending_index(docs, params):
     index = Bm25Index.build(docs, params)
-    assert index.ranked.keys() == index.contributions.keys()
-    for term, term_map in index.contributions.items():
-        assert index.ranked[term] == sorted(term_map, key=lambda d: (-term_map[d], d))
+    assert {term: sorted(term_map) for term, term_map in index.contributions.items()} == {
+        term: [d for d, _ in posting] for term, posting in index.postings.items()
+    }
+    assert term_map_items(index) == bm25_term_rankings(index)
 
 
 def test_an_index_built_for_a_query_holds_only_its_terms():

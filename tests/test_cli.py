@@ -162,6 +162,21 @@ def test_stale_store_exits_2(tmp_path, capsys):
     assert "stale" in capsys.readouterr().err.lower()
 
 
+def test_a_store_embedded_by_another_model_exits_2_until_embed_entities_reruns(tmp_path, capsys):
+    run_workflow(tmp_path)
+    flags = workflow_flags(tmp_path)
+    assert main(["train", *flags, "--seed", "12", "--epochs", "3", "--learning-rate", "0.5"]) == 0
+    capsys.readouterr()
+    artifacts = tmp_path / "artifacts"
+    assert main(["predict", *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {artifacts / 'entities.lxc'}: stale entity store: embedded by another model than"
+        f" {artifacts / 'model.lxc'}; rerun embed-entities\n"
+    )
+    assert main(["embed-entities", *flags]) == 0
+    assert main(["predict", *flags]) == 0
+
+
 def test_index_older_than_the_kb_exits_2_naming_the_entity(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--seed", "5", "--entities", "50", "--mentions", "20", "--out", str(data)]) == 0
@@ -409,6 +424,8 @@ def previous_index_layout(header):
         pytest.param("--model", setting(("arrays", 0, "shape"), [-2048, 16]), id="negative-shape"),
         pytest.param("--model", setting(("meta", "encoder_config", "hash_buckets"), 4096), id="more-buckets-than-rows"),
         pytest.param("--store", setting(("arrays", 0, "name"), "vectors"), id="store-array-renamed"),
+        pytest.param("--store", removing(("meta", "encoder_digest")), id="store-without-encoder-digest"),
+        pytest.param("--store", setting(("meta", "encoder_digest"), 7), id="store-encoder-digest-retyped"),
     ],
 )
 def test_malformed_artifact_exits_2_naming_it(trained_workflow, flag, edit):

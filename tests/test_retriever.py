@@ -20,7 +20,7 @@ from lexlink.retriever import (
 )
 from lexlink.tokenizer import tokenize
 
-from oracles import bm25_ranking
+from oracles import bm25_ranking, bm25_term_rankings, term_map_items
 
 
 def mention(text, surface, gold=None):
@@ -404,7 +404,7 @@ def test_save_load_round_trip_keeps_both_indexes(tmp_path):
         for before, after in ((built.at_index, loaded.at_index), (built.kb_index, loaded.kb_index)):
             assert after.postings == before.postings
             assert after.doc_lengths == before.doc_lengths
-            assert after.norms == before.norms
+            assert term_map_items(after) == bm25_term_rankings(before)
             assert after.params == before.params
             query = [rng.choice([*sorted(before.postings), "absent"]) for _ in range(3)]
             assert after.top_k(query, 10) == before.top_k(query, 10)
@@ -424,15 +424,25 @@ def test_load_rejects_wrong_format_tag(tmp_path, retriever):
         assert str(info.value) == f"{culprit}: expected format {expected!r}, got {got!r}"
 
 
-def test_load_scores_with_the_configured_bm25_params(tmp_path, fruit_kb, fruit_aliases):
+def test_load_scores_with_the_configured_bm25_params(tmp_path):
+    # Names and aliases of one to three tokens, so that b changes the length norms.
+    kb = KnowledgeBase(
+        EntityRecord(id=f"Q{i}", name=name, description="")
+        for i, name in enumerate(["apple", "apple pie", "big apple tree", "pie"])
+    )
+    aliases = AliasTable(
+        AliasEntry(alias=alias, entity_id=entity_id, prior=1.0)
+        for alias, entity_id in [("apple", "Q0"), ("big apple", "Q2"), ("apple pie crust", "Q1"), ("pie", "Q3")]
+    )
     at_path, kb_path = tmp_path / "at.json", tmp_path / "kb.json"
-    Retriever.build(fruit_kb, fruit_aliases).save(at_path, kb_path)
+    Retriever.build(kb, aliases).save(at_path, kb_path)
     cfg = RetrieverConfig(bm25_params=Bm25Params(b=0.2))
     loaded = Retriever.load(at_path, kb_path, cfg)
     assert loaded.at_index.params == loaded.kb_index.params == cfg.bm25_params
-    built = Retriever.build(fruit_kb, fruit_aliases, cfg)
-    assert loaded.at_index.norms == built.at_index.norms
-    assert loaded.kb_index.norms == built.kb_index.norms
+    built, default = Retriever.build(kb, aliases, cfg), Retriever.build(kb, aliases)
+    for index in ("at_index", "kb_index"):
+        assert term_map_items(getattr(loaded, index)) == term_map_items(getattr(built, index))
+        assert term_map_items(getattr(loaded, index)) != term_map_items(getattr(default, index))
 
 
 def test_a_loaded_index_older_than_the_kb_raises_stale_index_naming_the_entity(tmp_path, retriever, fruit_kb):
