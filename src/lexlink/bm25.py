@@ -8,6 +8,9 @@ The score of a document ``d`` for a query is
 with ``IDF(t) = ln(1 + (N - df(t) + 0.5) / (df(t) + 0.5))``. The +1-inside-log
 IDF variant keeps every score non-negative, so zero-score documents can be
 excluded from rankings and tie-breaking stays well defined.
+
+``Bm25Index`` ranks a corpus that many queries share; ``rank_term_counts``
+ranks a few documents for one query, with the same floats, and builds no index.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Collection, NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidConfig
 from .tokenizer import TokenStream
@@ -58,6 +61,17 @@ def _term_frequencies(doc: TokenStream) -> dict[str, int]:
     return tfs
 
 
+def _idf(doc_count: int, df: int) -> float:
+    return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
+
+
+def _length_norms(doc_lengths: list[int], avg_doc_length: float, params: Bm25Params) -> list[float]:
+    """Per-document length norm k1 * (1 - b + b * |d| / avgdl). An all-empty
+    corpus has no postings, so its norms are never read."""
+    k1, b, avgdl = params.k1, params.b, avg_doc_length or 1.0
+    return [k1 * (1.0 - b + b * n / avgdl) for n in doc_lengths]
+
+
 class Bm25Index:
     """Immutable inverted index, made by ``build`` and never written to disk:
     the index artifacts hold the rows it is built from, and loading one builds
@@ -79,41 +93,27 @@ class Bm25Index:
         self.doc_count = len(doc_lengths)
         self.avg_doc_length = sum(doc_lengths) / self.doc_count if self.doc_count else 0.0
         self.params = params
-        # Per-document length norm k1 * (1 - b + b * |d| / avgdl). An all-empty
-        # corpus has no postings, so its norms are never read.
-        k1, b, avgdl = params.k1, params.b, self.avg_doc_length or 1.0
-        norms = [k1 * (1.0 - b + b * n / avgdl) for n in doc_lengths]
-        k1_plus_1 = k1 + 1.0
+        norms = _length_norms(doc_lengths, self.avg_doc_length, params)
+        k1_plus_1 = params.k1 + 1.0
         self.contributions: dict[str, dict[int, float]] = {}
         for term, posting in postings.items():
-            idf = math.log(1.0 + (self.doc_count - len(posting) + 0.5) / (len(posting) + 0.5))
+            idf = _idf(self.doc_count, len(posting))
             # A stable sort keeps the ascending doc order of equal contributions.
             pairs = [(d, idf * tf * k1_plus_1 / (tf + norms[d])) for d, tf in posting]
             self.contributions[term] = dict(sorted(pairs, key=itemgetter(1), reverse=True))
 
     @classmethod
-    def build(
-        cls,
-        docs: list[TokenStream | TermCounts],
-        params: Bm25Params = Bm25Params(),
-        terms: Collection[str] | None = None,
-    ) -> "Bm25Index":
-        """One document per token stream, or per ``TermCounts`` of one; a
-        ``str`` or a mapping is refused with ``TypeError``. Each term's
-        posting lists its documents in ascending order; terms keep
-        first-occurrence order.
-
-        An index built for one known query passes its ``terms``: only those
-        get postings, while document lengths still count every token, so
-        that query scores as it would against the full index."""
+    def build(cls, docs: list[TokenStream], params: Bm25Params = Bm25Params()) -> "Bm25Index":
+        """One document per token stream; a ``str`` or a mapping is refused
+        with ``TypeError``. Each term's posting lists its documents in
+        ascending order; terms keep first-occurrence order."""
         postings: dict[str, list[tuple[int, int]]] = {}
         doc_lengths: list[int] = []
         for doc_index, doc in enumerate(docs):
-            if type(doc) not in (TermCounts, list) and isinstance(doc, (str, Mapping)):  # would index chars or keys
-                raise TypeError(f"document {doc_index} is a {type(doc).__name__}, not a token stream or TermCounts")
-            length, tfs = doc if type(doc) is TermCounts else (len(doc), _term_frequencies(doc))
-            doc_lengths.append(length)
-            for token, tf in tfs.items() if terms is None else [(t, tf) for t, tf in tfs.items() if t in terms]:
+            if type(doc) is not list and isinstance(doc, (str, Mapping)):  # would index chars or keys
+                raise TypeError(f"document {doc_index} is a {type(doc).__name__}, not a token stream")
+            doc_lengths.append(len(doc))
+            for token, tf in _term_frequencies(doc).items():
                 postings.setdefault(token, []).append((doc_index, tf))
         return cls(postings, doc_lengths, params)
 
@@ -165,3 +165,44 @@ class Bm25Index:
         # A stable sort keeps the ascending doc order of equal scores.
         top = sorted(sorted(scores), key=scores.__getitem__, reverse=True)[:k]
         return [ScoredDoc(d, scores[d]) for d in top if scores[d] > 0.0]
+
+
+def rank_term_counts(
+    docs: Sequence[TermCounts], query: TokenStream, k: int, params: Bm25Params = Bm25Params()
+) -> list[ScoredDoc]:
+    """``Bm25Index.top_k`` over an index of ``docs``, without the index: for a
+    few documents ranked for one query, as the fine stage ranks each
+    mention's candidate descriptions. The same floats in the same order:
+
+    >>> docs = [["x"], ["a"], ["a"], ["a"], ["a", "a"]]
+    >>> rank_term_counts([TermCounts.of(doc) for doc in docs], ["a"], 3) == Bm25Index.build(docs).top_k(["a"], 3)
+    True
+
+    Each document's score is a left fold from 0.0 over the unique query
+    terms it holds, in query order, as ``top_k`` adds them.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    terms = dict.fromkeys(query)
+    # Each term's holders, by ascending doc index; the intersection costs the smaller side.
+    holders: dict[str, list[int]] = {}
+    for doc_index, doc in enumerate(docs):
+        for term in doc.tfs.keys() & terms.keys():
+            holders.setdefault(term, []).append(doc_index)
+    if not holders:
+        return []
+    doc_count = len(docs)
+    doc_lengths = [doc.length for doc in docs]
+    norms = _length_norms(doc_lengths, sum(doc_lengths) / doc_count, params)
+    k1_plus_1 = params.k1 + 1.0
+    scores = [0.0] * doc_count
+    for term in terms:
+        if term in holders:
+            held = holders[term]
+            idf = _idf(doc_count, len(held))
+            for d in held:
+                tf = docs[d].tfs[term]
+                scores[d] += idf * tf * k1_plus_1 / (tf + norms[d])
+    # A stable sort keeps the ascending doc order of equal scores.
+    ranked = sorted(range(doc_count), key=scores.__getitem__, reverse=True)[:k]
+    return [ScoredDoc(d, scores[d]) for d in ranked if scores[d] > 0.0]

@@ -526,6 +526,13 @@ class EntityEmbeddingStore:
             raise UnknownCandidate(entity_id)
         return self.matrix[self._row_of[entity_id]]
 
+    def rows(self, entity_ids: Sequence[str]) -> np.ndarray:
+        """The vectors of ``entity_ids``, one row each, in their order."""
+        try:
+            return self.matrix.take([self._row_of[entity_id] for entity_id in entity_ids], axis=0)
+        except KeyError as exc:
+            raise UnknownCandidate(exc.args[0]) from None
+
     def save(self, path) -> None:
         meta = {"kb_fingerprint": self.kb_fingerprint, "encoder_digest": self.encoder_digest}
         write_container(path, STORE_FORMAT_TAG, meta, {"values": self.matrix})
@@ -571,6 +578,11 @@ def rerank(
     if not candidates:
         return []
     y_m = model.encode_mention(m, pieces)
-    scored = [(entity_id, score_pair(y_m, store.row(entity_id))) for entity_id in candidates]
+    if y_m.shape != store.matrix.shape[1:]:
+        raise DimensionMismatch(f"mention dim {y_m.shape} vs entity dim {store.matrix.shape[1:]}")
+    # vecdot runs the per-row dot kernel of score_pair, so the scores are its
+    # floats; a matrix-vector product (rows @ y_m) sums in another order.
+    scores = np.vecdot(store.rows(candidates), y_m).tolist()
+    scored = list(zip(candidates, scores))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored

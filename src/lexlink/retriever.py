@@ -3,11 +3,11 @@
 The coarse layer runs two BM25 models over the mention string: one across
 alias-table surface forms, one across knowledge-base entity names. The
 survivors are merged into a duplicate-free candidate list, and the fine layer
-re-retrieves from it with a transient BM25 index over the candidates'
-descriptions, queried with the mention's document text. ``Retriever.retrieve``
-is the one place the two layers are chained. A caller that has already
-tokenized the document (``Pipeline.link`` does, once per link, for the fine
-query and the reranker's mention sequence alike) passes the tokens in.
+re-retrieves from it by ranking the candidates' descriptions with BM25 for the
+mention's document text. ``Retriever.retrieve`` is the one place the two layers
+are chained. A caller that has already tokenized the document
+(``Pipeline.link`` does, once per link, for the fine query and the reranker's
+mention sequence alike) passes the tokens in.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .artifacts import decoding, read_container, write_container
-from .bm25 import Bm25Index, Bm25Params, TermCounts
+from .bm25 import Bm25Index, Bm25Params, TermCounts, rank_term_counts
 from .corpus import AliasEntry, AliasTable, KnowledgeBase, MentionRecord
 from .errors import DataError, InvalidConfig
 from .tokenizer import TokenStream, tokenize
@@ -136,16 +136,15 @@ class Retriever:
         with its first ``FINE_QUERY_TOKEN_LIMIT`` tokens. ``doc_tokens``, when
         given, is ``tokenize(doc_text)`` computed by the caller.
 
-        The description corpus changes per mention, so the index is transient;
-        it is built from the candidates' memoized description term counts and
-        holds only the query's terms.
+        The description corpus changes per mention, so no index is built:
+        ``rank_term_counts`` scores the candidates' memoized description term
+        counts directly, as an index over them would.
         """
         if not cand1:
             return []
         query = (tokenize(doc_text) if doc_tokens is None else doc_tokens)[:FINE_QUERY_TOKEN_LIMIT]
         docs = [_description_counts(kb.lookup(entity_id).description) for entity_id in cand1]
-        index = Bm25Index.build(docs, self.config.bm25_params, terms=set(query))
-        hits = index.top_k(query, self.config.k_desc)
+        hits = rank_term_counts(docs, query, self.config.k_desc, self.config.bm25_params)
         return [cand1[hit.doc_index] for hit in hits]
 
     def retrieve(

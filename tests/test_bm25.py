@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexlink.bm25 import Bm25Index, Bm25Params, TermCounts
+from lexlink.bm25 import Bm25Index, Bm25Params, TermCounts, rank_term_counts
 
 from oracles import bm25_ranking, bm25_score, bm25_term_rankings, bm25_top_k, term_map_items
 
@@ -58,10 +58,9 @@ def test_build_refuses_a_str_or_a_mapping_as_a_document(doc):
         Bm25Index.build([["apple"], doc])
 
 
-def test_build_takes_a_tuple_or_term_counts_as_a_token_stream():
+def test_build_takes_a_tuple_as_a_token_stream():
     want = Bm25Index.build([["apple", "pie", "apple"]]).postings
     assert Bm25Index.build([("apple", "pie", "apple")]).postings == want
-    assert Bm25Index.build([TermCounts.of(["apple", "pie", "apple"])]).postings == want
 
 
 # -- score -------------------------------------------------------------------
@@ -122,9 +121,9 @@ def test_top_k_keeps_the_lowest_indices_among_ties_at_the_kth_score():
 
 
 def test_top_k_rejects_nonpositive_k():
-    index = Bm25Index.build([["a"]])
-    with pytest.raises(ValueError):
-        index.top_k(["a"], 0)
+    for rank in _rankers_for([["a"]], Bm25Params()):
+        with pytest.raises(ValueError):
+            rank(["a"], 0)
 
 
 def test_top_k_matches_brute_force_on_random_corpus():
@@ -171,21 +170,19 @@ _TIE_HEAVY_DOCS = st.lists(st.lists(st.sampled_from("abcd"), max_size=4), min_si
     params=st.sampled_from([Bm25Params(), Bm25Params(k1=0.9, b=0.4), Bm25Params(k1=2.0, b=1.0), Bm25Params(b=0.0)]),
 )
 def test_top_k_equals_the_per_posting_reference_bitwise(docs, query, params):
-    indexes = _indexes_for(docs, query, params)
+    rankers = _rankers_for(docs, params)
     for k in range(1, len(docs) + 1):
         want = [(doc, score.hex()) for doc, score in bm25_top_k(docs, query, params.k1, params.b, k)]
-        for index in indexes:
-            assert [(hit.doc_index, hit.score.hex()) for hit in index.top_k(query, k)] == want
+        for rank in rankers:
+            assert [(hit.doc_index, hit.score.hex()) for hit in rank(query, k)] == want
 
 
-def _indexes_for(docs, query, params):
-    """The three ways to build an index a query can rank with: over every
-    term, over the query's terms, and over term counts for the query's terms."""
-    return (
-        Bm25Index.build(docs, params),
-        Bm25Index.build(docs, params, terms=set(query)),
-        Bm25Index.build([TermCounts.of(doc) for doc in docs], params, terms=set(query)),
-    )
+def _rankers_for(docs, params):
+    """The two ways to rank the documents for a query, as ``(query, k) ->
+    hits``: an index's ``top_k``, and ``rank_term_counts`` over their term
+    counts."""
+    counts = [TermCounts.of(doc) for doc in docs]
+    return Bm25Index.build(docs, params).top_k, lambda query, k: rank_term_counts(counts, query, k, params)
 
 
 def _shared_name_corpus(rng, n_docs=700, vocab=10):
@@ -220,10 +217,10 @@ def test_top_k_equals_the_reference_bitwise_at_shared_name_scale():
     place = {term: {doc: i for i, doc in enumerate(term_map)} for term, term_map in full.contributions.items()}
     tie_beyond_k = set()
     deep_overlap_hits = last_prefix_hits = unsummed_folds = 0
+    rankers = _rankers_for(docs, params)
     for _ in range(60):
         query = rng.choices([*words, "absent", "pad3", "pad4"], k=rng.randrange(1, 6))
         query += rng.sample(query, rng.randrange(len(query) + 1))  # repeats
-        indexes = _indexes_for(docs, query, params)
         terms = [t for t in dict.fromkeys(query) if t in full.contributions]
         for k in (1, 10, 20, len(docs) + 1):
             want = bm25_top_k(docs, query, params.k1, params.b, k + 1)
@@ -239,8 +236,8 @@ def test_top_k_equals_the_reference_bitwise_at_shared_name_scale():
                 last_prefix_hits += len(held) == 1 < len(terms) and depth == k - 1
                 unsummed_folds += math.fsum(full.contributions[t][doc] for t in held) != score
             want = [(doc, score.hex()) for doc, score in want]
-            for index in indexes:
-                assert [(hit.doc_index, hit.score.hex()) for hit in index.top_k(query, k)] == want
+            for rank in rankers:
+                assert [(hit.doc_index, hit.score.hex()) for hit in rank(query, k)] == want
     assert tie_beyond_k == {1, 10, 20}  # more documents tie at the k-th score than fit
     assert deep_overlap_hits > 0 and last_prefix_hits > 0
     assert unsummed_folds > 0  # a compensated sum would give other floats
@@ -265,12 +262,6 @@ def test_each_term_ranks_its_documents_by_descending_contribution_then_ascending
         term: [d for d, _ in posting] for term, posting in index.postings.items()
     }
     assert term_map_items(index) == bm25_term_rankings(index)
-
-
-def test_an_index_built_for_a_query_holds_only_its_terms():
-    index = Bm25Index.build([["a", "b", "a"], ["c"]], terms={"a", "z"})
-    assert index.postings == {"a": [(0, 2)]}
-    assert index.doc_lengths == [3, 1]
 
 
 def test_monotonicity_in_term_frequency():

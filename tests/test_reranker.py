@@ -495,6 +495,30 @@ def test_rerank_matches_exhaustive_scoring_oracle():
         assert s_got == pytest.approx(s_exp, abs=1e-9)
 
 
+def test_rerank_scores_each_candidate_as_score_pair_does_bitwise():
+    kb = KnowledgeBase([
+        EntityRecord(id=f"E{i}", name=f"name{i} tok{i % 7}", description=f"desc{i % 5} body word{i}")
+        for i in range(40)
+    ])
+    cfg = EncoderConfig(dim=64, hash_buckets=4096, max_len=32, seed=8)
+    model = DualEncoder.initialize(cfg)
+    store = precompute_entity_embeddings(model, kb)
+    ids = [entity.id for entity in kb.entities]
+    rng = np.random.default_rng(14)
+    for i in range(60):
+        m = mention(f"talk of name{i % 40} tok{i % 7} and word{i}", f"name{i % 40}")
+        y_m = model.encode_mention(m)
+        candidates = [str(eid) for eid in rng.choice(ids, size=rng.integers(1, 31), replace=False)]
+        got = rerank(model, store, m, candidates)
+        assert sorted(eid for eid, _ in got) == sorted(candidates)
+        assert {eid: score.hex() for eid, score in got} == {
+            eid: score_pair(y_m, store.row(eid)).hex() for eid in candidates
+        }
+    narrow = precompute_entity_embeddings(DualEncoder.initialize(EncoderConfig(dim=32, hash_buckets=4096, seed=8)), kb)
+    with pytest.raises(DimensionMismatch):
+        rerank(model, narrow, m, ids[:3])
+
+
 def test_rerank_unknown_candidate():
     kb, _ = small_world()
     model = DualEncoder.initialize(SMALL)
