@@ -37,17 +37,15 @@ def decoding(path):
 
 
 def write_container(path, tag: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    entries = []
-    payload = []
-    for name, array in arrays.items():
-        data = np.asarray(array, dtype="<f8")
-        entries.append({"name": name, "shape": list(data.shape)})
-        payload.append(data.tobytes())
+    """Write ``arrays`` as C-ordered little-endian float64 after the header.
+    Each array is written from its own buffer; one stored otherwise is
+    converted while it is written, one array at a time."""
+    entries = [{"name": name, "shape": list(np.asarray(array, dtype="<f8").shape)} for name, array in arrays.items()]
     header = json.dumps({"format": tag, "meta": meta, "arrays": entries}, ensure_ascii=False)
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        for chunk in payload:
-            fh.write(chunk)
+        for array in arrays.values():
+            fh.write(np.ascontiguousarray(array, dtype="<f8").data)
 
 
 def read_container(path, tag: str) -> tuple[dict, dict[str, np.ndarray]]:

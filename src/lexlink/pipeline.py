@@ -4,7 +4,7 @@ retrieve, rerank Cand1 (the fine stage's Cand2 is a subset of it), vote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import Dataset, KnowledgeBase, MentionRecord
@@ -12,7 +12,7 @@ from .ensemble import Prediction, VoteInput, vote
 from .errors import InvalidConfig
 from .reranker import DualEncoder, EntityEmbeddingStore, rerank
 from .retriever import RetrievalResult, Retriever
-from .tokenizer import tokenize_around
+from .tokenizer import TokenStream, tokenize_around
 
 # Pipeline pieces that ablations may disable.
 TOGGLES = ("ensemble", "at_bm25", "kb_bm25", "desc_bm25")
@@ -37,6 +37,9 @@ class LinkedMention:
     votes: VoteInput
     reranked: list[tuple[str, float]]
     prediction: Prediction | None  # None when no stage produced a hypothesis
+    # The document's tokens, when the link tokenized it: ablation rows that
+    # rerun the fine stage query with them. Not part of the result.
+    doc_tokens: TokenStream | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -53,7 +56,7 @@ class Pipeline:
         left, span, right, doc_tokens = tokenize_around(m.text, m.span_start, m.span_end)
         result = self.retriever.retrieve(self.kb, m, disabled, doc_tokens=doc_tokens)
         reranked = rerank(self.model, self.store, m, result.cand1, (left, span, right))
-        return _decide(m, result, reranked, disabled)
+        return _decide(m, result, reranked, disabled, doc_tokens)
 
     def ablate(self, m: MentionRecord, toggles: Sequence[str]) -> list[LinkedMention]:
         """``link(m)`` followed by, for each toggle, what ``link(m, {toggle})``
@@ -62,10 +65,10 @@ class Pipeline:
         Disabling ``ensemble`` or ``desc_bm25`` keeps the reranker pool, which
         is Cand1 either way. Each stage row comes from ``Retriever.retrieve``
         given the full result, which reruns only the fine stage, and only where
-        the row's Cand1 differs from the full one. The reranker's scores depend
-        only on the mention and the entity and it ranks by
-        ``(-score, entity_id)``, so the full ranking filtered to a smaller
-        pool is that pool's ranking.
+        the row's Cand1 differs from the full one, with the link's document
+        tokens. The reranker's scores depend only on the mention and the
+        entity and it ranks by ``(-score, entity_id)``, so the full ranking
+        filtered to a smaller pool is that pool's ranking.
         """
         check_toggles(toggles)
         lm = self.link(m)
@@ -75,7 +78,7 @@ class Pipeline:
             result = (
                 lm.retrieval
                 if toggle == "ensemble"
-                else self.retriever.retrieve(self.kb, m, disabled, full=lm.retrieval)
+                else self.retriever.retrieve(self.kb, m, disabled, full=lm.retrieval, doc_tokens=lm.doc_tokens)
             )
             pool = set(result.cand1)
             reranked = [pair for pair in lm.reranked if pair[0] in pool]
@@ -91,6 +94,7 @@ def _decide(
     result: RetrievalResult,
     reranked: list[tuple[str, float]],
     disabled: frozenset[str],
+    doc_tokens: TokenStream | None = None,
 ) -> LinkedMention:
     """Vote over the stage heads, or take the reranker's top-1 directly when
     ``ensemble`` is disabled."""
@@ -118,4 +122,5 @@ def _decide(
         votes=votes,
         reranked=reranked,
         prediction=prediction,
+        doc_tokens=doc_tokens,
     )

@@ -24,7 +24,7 @@ import functools
 import math
 import zlib
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -395,6 +395,13 @@ def dataset_loss(model: DualEncoder, examples: Sequence[TrainExample]) -> float:
     return sum(example_loss(model, ex) for ex in examples) / len(examples)
 
 
+def _bucket_rows(sequences: Sequence[SequenceFeatures]) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The distinct bucket ids of ``sequences``, ascending, and each
+    sequence's rows among them, one sequence after another."""
+    unique, inverse = np.unique(np.concatenate([feats.buckets for feats in sequences]), return_inverse=True)
+    return unique, iter(np.split(inverse, np.cumsum([feats.buckets.size for feats in sequences])[:-1]))
+
+
 def batch_loss_and_grads(
     model: DualEncoder, examples: Sequence[TrainExample]
 ) -> tuple[float, ParamGrads, ParamGrads]:
@@ -403,6 +410,11 @@ def batch_loss_and_grads(
     Backpropagation through: dot-product scores -> softmax cross-entropy,
     affine projection, mean pooling, embedding lookups. This is the exact
     gradient the finite-difference checks validate.
+
+    Each side's embedding gradient holds one row per distinct bucket of the
+    batch. A sequence's rows are added into it as soon as they are made, in
+    loop order, so a row sums the same terms in the same order as a sum over
+    every sequence's rows stacked together would.
     """
     mp, ep = model.mention_params, model.entity_params
     cfg = model.cfg
@@ -412,10 +424,10 @@ def batch_loss_and_grads(
     d_bias_m = np.zeros_like(mp.bias)
     d_proj_e = np.zeros_like(ep.projection)
     d_bias_e = np.zeros_like(ep.bias)
-    emb_bucket_chunks_m: list[np.ndarray] = []
-    emb_grad_chunks_m: list[np.ndarray] = []
-    emb_bucket_chunks_e: list[np.ndarray] = []
-    emb_grad_chunks_e: list[np.ndarray] = []
+    buckets_m, mention_rows = _bucket_rows([example.mention for example in examples])
+    buckets_e, entity_rows = _bucket_rows([feats for example in examples for feats in example.candidates])
+    d_emb_m = np.zeros((buckets_m.size, cfg.dim))
+    d_emb_e = np.zeros((buckets_e.size, cfg.dim))
 
     total_loss = 0.0
     for example in examples:
@@ -438,11 +450,7 @@ def batch_loss_and_grads(
         d_proj_m += np.outer(dy_m, x_m)
         d_bias_m += dy_m
         dx_m = mp.projection.T @ dy_m
-        if example.mention.buckets.size:
-            emb_bucket_chunks_m.append(example.mention.buckets)
-            emb_grad_chunks_m.append(
-                np.outer(example.mention.counts, dx_m) / example.mention.token_count
-            )
+        np.add.at(d_emb_m, next(mention_rows), np.outer(example.mention.counts, dx_m) / example.mention.token_count)
 
         # Entity side, one affine backprop per candidate.
         for k, feats in enumerate(example.candidates):
@@ -450,26 +458,12 @@ def batch_loss_and_grads(
             d_proj_e += np.outer(dy_e, x_es[k])
             d_bias_e += dy_e
             dx_e = ep.projection.T @ dy_e
-            if feats.buckets.size:
-                emb_bucket_chunks_e.append(feats.buckets)
-                emb_grad_chunks_e.append(np.outer(feats.counts, dx_e) / feats.token_count)
+            np.add.at(d_emb_e, next(entity_rows), np.outer(feats.counts, dx_e) / feats.token_count)
 
-    def collapse(bucket_chunks, grad_chunks) -> tuple[np.ndarray, np.ndarray]:
-        if not bucket_chunks:
-            return np.zeros(0, dtype=np.int64), np.zeros((0, cfg.dim))
-        buckets = np.concatenate(bucket_chunks)
-        grads = np.vstack(grad_chunks)
-        unique, inverse = np.unique(buckets, return_inverse=True)
-        summed = np.zeros((unique.size, cfg.dim))
-        np.add.at(summed, inverse, grads)
-        return unique, summed / n
-
-    buckets_m, grads_m = collapse(emb_bucket_chunks_m, emb_grad_chunks_m)
-    buckets_e, grads_e = collapse(emb_bucket_chunks_e, emb_grad_chunks_e)
     return (
         total_loss / n,
-        ParamGrads(buckets_m, grads_m, d_proj_m / n, d_bias_m / n),
-        ParamGrads(buckets_e, grads_e, d_proj_e / n, d_bias_e / n),
+        ParamGrads(buckets_m, d_emb_m / n, d_proj_m / n, d_bias_m / n),
+        ParamGrads(buckets_e, d_emb_e / n, d_proj_e / n, d_bias_e / n),
     )
 
 
@@ -561,8 +555,9 @@ def entity_encoder_digest(model: DualEncoder) -> str:
 
 
 def precompute_entity_embeddings(model: DualEncoder, kb: KnowledgeBase) -> EntityEmbeddingStore:
-    rows = [model.encode_entity(entity) for entity in kb.entities]
-    matrix = np.stack(rows) if rows else np.zeros((0, model.cfg.dim))
+    matrix = np.empty((len(kb), model.cfg.dim))
+    for row, entity in enumerate(kb.entities):
+        matrix[row] = model.encode_entity(entity)
     return EntityEmbeddingStore(matrix, [e.id for e in kb.entities], kb.fingerprint(), entity_encoder_digest(model))
 
 

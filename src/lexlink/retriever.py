@@ -13,6 +13,7 @@ mention sequence alike) passes the tokens in.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 from .artifacts import decoding, read_container, write_container
@@ -49,9 +50,10 @@ class RetrieverConfig:
     alias_expansion: str = "all"
 
     def __post_init__(self):
+        # A k beyond sys.maxsize cannot bound a list slice or islice.
         for name in ("k_at", "k_kb", "k_desc"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
+            if not 1 <= getattr(self, name) <= sys.maxsize:
+                raise InvalidConfig(f"{name} must be in [1, {sys.maxsize}]")
         if self.alias_expansion not in _EXPANSION_MODES:
             raise InvalidConfig(f"alias_expansion must be one of {_EXPANSION_MODES}")
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's fast paths: BM25 evaluates the scoring
 formula term by term over raw token lists, the tokenizer classifies text one
-character at a time, the featurizer hashes every n-gram of every token, and
-the ablation links the whole dataset once per row, and a knowledge-base line
-is written by ``json.dumps``.
+character at a time, the featurizer hashes every n-gram of every token, the
+ablation links the whole dataset once per row, a knowledge-base line is
+written by ``json.dumps``, and a training step stacks every sequence's
+embedding gradient rows before summing them.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ from lexlink.reranker import (
     MENTION_END,
     MENTION_START,
     NAME_DESC_SEP,
+    DualEncoder,
     EncoderConfig,
     MarkedSequence,
+    ParamGrads,
     SequenceFeatures,
+    TrainExample,
+    _pool,
     rerank,
 )
 from lexlink.retriever import FINE_QUERY_TOKEN_LIMIT, RetrievalResult, merge_coarse
@@ -198,3 +203,72 @@ def run_ablation(pipeline: Pipeline, ds: Dataset, toggles=TOGGLES) -> list[Accur
         accuracy([link(pipeline, record, disabled).prediction for record in ds.records], golds, system=system)
         for system, disabled in rows
     ]
+
+
+def batch_loss_and_grads(model: DualEncoder, examples: list[TrainExample]) -> tuple[float, ParamGrads, ParamGrads]:
+    """The training step with each sequence's dense embedding gradient rows
+    kept until the end, then stacked and summed per bucket by one
+    ``np.add.at`` over them all."""
+    mp, ep = model.mention_params, model.entity_params
+    cfg = model.cfg
+    n = len(examples)
+
+    d_proj_m = np.zeros_like(mp.projection)
+    d_bias_m = np.zeros_like(mp.bias)
+    d_proj_e = np.zeros_like(ep.projection)
+    d_bias_e = np.zeros_like(ep.bias)
+    emb_bucket_chunks_m: list[np.ndarray] = []
+    emb_grad_chunks_m: list[np.ndarray] = []
+    emb_bucket_chunks_e: list[np.ndarray] = []
+    emb_grad_chunks_e: list[np.ndarray] = []
+
+    total_loss = 0.0
+    for example in examples:
+        x_m = _pool(example.mention, mp)
+        y_m = mp.projection @ x_m + mp.bias
+        x_es = [_pool(c, ep) for c in example.candidates]
+        y_es = np.stack([ep.projection @ x + ep.bias for x in x_es])
+        scores = y_es @ y_m
+
+        shifted = scores - scores.max()
+        exp = np.exp(shifted)
+        probs = exp / exp.sum()
+        total_loss += float(np.log(exp.sum()) - shifted[0])
+
+        d_scores = probs.copy()
+        d_scores[0] -= 1.0
+
+        dy_m = y_es.T @ d_scores
+        d_proj_m += np.outer(dy_m, x_m)
+        d_bias_m += dy_m
+        dx_m = mp.projection.T @ dy_m
+        if example.mention.buckets.size:
+            emb_bucket_chunks_m.append(example.mention.buckets)
+            emb_grad_chunks_m.append(np.outer(example.mention.counts, dx_m) / example.mention.token_count)
+
+        for k, feats in enumerate(example.candidates):
+            dy_e = d_scores[k] * y_m
+            d_proj_e += np.outer(dy_e, x_es[k])
+            d_bias_e += dy_e
+            dx_e = ep.projection.T @ dy_e
+            if feats.buckets.size:
+                emb_bucket_chunks_e.append(feats.buckets)
+                emb_grad_chunks_e.append(np.outer(feats.counts, dx_e) / feats.token_count)
+
+    def collapse(bucket_chunks, grad_chunks) -> tuple[np.ndarray, np.ndarray]:
+        if not bucket_chunks:
+            return np.zeros(0, dtype=np.int64), np.zeros((0, cfg.dim))
+        buckets = np.concatenate(bucket_chunks)
+        grads = np.vstack(grad_chunks)
+        unique, inverse = np.unique(buckets, return_inverse=True)
+        summed = np.zeros((unique.size, cfg.dim))
+        np.add.at(summed, inverse, grads)
+        return unique, summed / n
+
+    buckets_m, grads_m = collapse(emb_bucket_chunks_m, emb_grad_chunks_m)
+    buckets_e, grads_e = collapse(emb_bucket_chunks_e, emb_grad_chunks_e)
+    return (
+        total_loss / n,
+        ParamGrads(buckets_m, grads_m, d_proj_m / n, d_bias_m / n),
+        ParamGrads(buckets_e, grads_e, d_proj_e / n, d_bias_e / n),
+    )

@@ -14,6 +14,7 @@ REJECTED = {
     "b": lambda: Bm25Params(b=1.5),
     "b_nan": lambda: Bm25Params(b=float("nan")),
     "k_desc": lambda: RetrieverConfig(k_desc=0),
+    "k_at_too_large": lambda: RetrieverConfig(k_at=2**64),
     "alias_expansion": lambda: RetrieverConfig(alias_expansion="some"),
     "dim": lambda: EncoderConfig(dim=0),
     "hash_buckets": lambda: EncoderConfig(hash_buckets=0),

@@ -159,6 +159,19 @@ def test_link_tokenizes_the_document_once_unless_the_span_cuts_a_run(monkeypatch
     assert sum(lengths) == len(record.mention) + documents * len(record.text)
 
 
+# "Banana" reuses the full Cand2 in every row; "Apple" reruns the fine stage
+# for the w/o AT-BM25 row (see test_ablate_ranks_descriptions_once_per_distinct_cand1).
+@pytest.mark.parametrize("surface", ["Banana", "Apple"])
+def test_ablate_tokenizes_the_document_only_in_its_link(monkeypatch, pipeline, surface):
+    record = mention(f"the {surface} grows on a tree", surface)
+    want = pipeline.ablate(record, TOGGLES)  # fills the description memo
+    lengths = count_tokenized_chars(monkeypatch)
+    assert pipeline.ablate(record, TOGGLES) == want
+    # The mention once for the coarse stage, then the text around the span.
+    assert len(lengths) == 4
+    assert sum(lengths) == len(record.mention) + len(record.text)
+
+
 def test_an_over_long_span_without_candidates_links_to_no_prediction(pipeline):
     text = " ".join(["zzqx"] * 40)
     lm = pipeline.link(at(text, 0, len(text)))

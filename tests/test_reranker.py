@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +28,7 @@ from lexlink.reranker import (
     EntityEmbeddingStore,
     MarkedSequence,
     TrainConfig,
+    TrainExample,
     batch_loss_and_grads,
     build_entity_sequence,
     build_mention_sequence,
@@ -346,6 +348,64 @@ def test_untouched_embedding_rows_have_zero_gradient():
     assert np.all(grads_m.embedding_row(untouched) == 0.0)
 
 
+def assert_same_grads(got, want):
+    for name in ("emb_buckets", "emb_grads", "projection", "bias"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+# Marker tokens alone and empty token lists make sequences with one bucket and
+# with none; a handful of buckets makes features of different tokens collide.
+_GRAD_TOKENS = ["ab", "abc", "b", "ca", "中", MENTION_START, MENTION_END, NAME_DESC_SEP]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batch_gradients_equal_the_stacking_reference_bitwise(data):
+    cfg = EncoderConfig(
+        dim=data.draw(st.integers(1, 5), label="dim"),
+        hash_buckets=data.draw(st.sampled_from([1, 2, 3, 7, 512]), label="hash_buckets"),
+        max_len=8,
+        seed=data.draw(st.integers(0, 3), label="seed"),
+    )
+    token_lists = data.draw(st.lists(st.lists(st.sampled_from(_GRAD_TOKENS), max_size=6), min_size=1, max_size=6))
+    sequences = st.sampled_from([sequence_features(MarkedSequence(tuple(tokens)), cfg) for tokens in token_lists])
+    examples = data.draw(st.lists(
+        st.builds(
+            lambda m, cs: TrainExample(mention=m, candidate_ids=[f"E{i}" for i in range(len(cs))], candidates=cs),
+            sequences,
+            st.lists(sequences, min_size=1, max_size=4),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    # Indexes drawn with repeats put one example in the batch more than once.
+    batch = [examples[i] for i in data.draw(st.lists(st.integers(0, len(examples) - 1), min_size=1, max_size=8))]
+    model = DualEncoder.initialize(cfg)
+    loss, grads_m, grads_e = batch_loss_and_grads(model, batch)
+    want_loss, want_m, want_e = oracles.batch_loss_and_grads(model, batch)
+    assert loss.hex() == want_loss.hex()
+    assert_same_grads(grads_m, want_m)
+    assert_same_grads(grads_e, want_e)
+
+
+def test_a_batch_gradient_holds_one_row_per_distinct_bucket_not_one_per_sequence_bucket():
+    kb, at, ds = build_synthetic(SynthSpec(seed=1, n_entities=300, n_aliases=450, n_mentions=64))
+    ec = EncoderConfig(hash_buckets=2**14, seed=2)
+    examples = build_training_examples(Dataset(ds.records, split="train"), kb, Retriever.build(kb, at), TrainConfig(), ec)
+    model = DualEncoder.initialize(ec)
+    sequences = [feats for example in examples for feats in (example.mention, *example.candidates)]
+    dense_rows = sum(feats.buckets.size for feats in sequences) * ec.dim * 8
+    tracemalloc.start()
+    try:
+        batch_loss_and_grads(model, examples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(examples) == 64
+    assert peak < dense_rows
+
+
 def test_training_reduces_loss_on_separable_data():
     kb, at, ds = build_synthetic(SynthSpec(
         seed=11, n_entities=60, n_aliases=80, n_mentions=200, ambiguity_rate=0.5, tail_rate=0.3,
@@ -431,9 +491,9 @@ def test_store_rows_equal_on_the_fly_encoding():
     kb, _ = small_world()
     model = DualEncoder.initialize(SMALL)
     store = precompute_entity_embeddings(model, kb)
-    assert store.matrix.shape == (8, SMALL.dim)
-    direct = model.encode_entity(kb.entities[2])
-    assert np.array_equal(store.matrix[2], direct)
+    rows = np.stack([model.encode_entity(entity) for entity in kb.entities])
+    assert (store.matrix.dtype, store.matrix.shape, store.matrix.tobytes()) == (rows.dtype, rows.shape, rows.tobytes())
+    assert precompute_entity_embeddings(model, KnowledgeBase([])).matrix.shape == (0, SMALL.dim)
 
 
 def test_store_save_load_and_staleness(tmp_path):
@@ -588,3 +648,20 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(reloaded.entity_params.projection, model.entity_params.projection)
     m = ds.records[0]
     assert np.array_equal(reloaded.encode_mention(m), model.encode_mention(m))
+
+
+def test_saving_a_model_copies_none_of_its_arrays(tmp_path):
+    model = DualEncoder.initialize(EncoderConfig(hash_buckets=2**14, seed=6))
+    array_bytes = sum(
+        getattr(params, name).nbytes
+        for params in (model.mention_params, model.entity_params)
+        for name in ("embedding", "projection", "bias")
+    )
+    tracemalloc.start()
+    try:
+        model.save(tmp_path / "model.lxc")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * array_bytes
+    assert (tmp_path / "model.lxc").stat().st_size > array_bytes
