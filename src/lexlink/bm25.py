@@ -65,10 +65,10 @@ def _idf(doc_count: int, df: int) -> float:
     return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
-def _length_norms(doc_lengths: list[int], avg_doc_length: float, params: Bm25Params) -> list[float]:
+def _length_norms(doc_lengths: list[int], params: Bm25Params) -> list[float]:
     """Per-document length norm k1 * (1 - b + b * |d| / avgdl). An all-empty
     corpus has no postings, so its norms are never read."""
-    k1, b, avgdl = params.k1, params.b, avg_doc_length or 1.0
+    k1, b, avgdl = params.k1, params.b, sum(doc_lengths) / max(len(doc_lengths), 1) or 1.0
     return [k1 * (1.0 - b + b * n / avgdl) for n in doc_lengths]
 
 
@@ -77,10 +77,12 @@ class Bm25Index:
     the index artifacts hold the rows it is built from, and loading one builds
     it again. Safe for concurrent queries: a query writes only its own scores.
 
-    ``postings`` maps each term to its ``(doc index, tf)`` pairs, by doc index.
-    ``contributions`` maps it to ``{doc index: contribution}`` (the term's
-    summand in that document's score), built once here best first, ties by
-    ascending doc index: a query only adds floats and reads map prefixes.
+    It holds three things. ``postings`` maps each term to its ``(doc index,
+    tf)`` pairs, by doc index. ``contributions`` maps it to ``{doc index:
+    contribution}`` (the term's summand in that document's score), built once
+    here best first, ties by ascending doc index: a query only adds floats and
+    reads map prefixes. ``doc_count`` is the number of documents. The document
+    lengths and ``Bm25Params`` are spent on the contributions and not kept.
 
     >>> index = Bm25Index.build([["a", "b"], ["a"], ["b"], ["a", "a"]])
     >>> list(index.contributions["a"])
@@ -89,11 +91,8 @@ class Bm25Index:
 
     def __init__(self, postings: dict[str, list[tuple[int, int]]], doc_lengths: list[int], params: Bm25Params):
         self.postings = postings
-        self.doc_lengths = doc_lengths
         self.doc_count = len(doc_lengths)
-        self.avg_doc_length = sum(doc_lengths) / self.doc_count if self.doc_count else 0.0
-        self.params = params
-        norms = _length_norms(doc_lengths, self.avg_doc_length, params)
+        norms = _length_norms(doc_lengths, params)
         k1_plus_1 = params.k1 + 1.0
         self.contributions: dict[str, dict[int, float]] = {}
         for term, posting in postings.items():
@@ -192,8 +191,7 @@ def rank_term_counts(
     if not holders:
         return []
     doc_count = len(docs)
-    doc_lengths = [doc.length for doc in docs]
-    norms = _length_norms(doc_lengths, sum(doc_lengths) / doc_count, params)
+    norms = _length_norms([doc.length for doc in docs], params)
     k1_plus_1 = params.k1 + 1.0
     scores = [0.0] * doc_count
     for term in terms:

@@ -39,7 +39,6 @@ class PipelineConfig:
     k_desc: int = 10
     bm25_k1: float = 1.5
     bm25_b: float = 0.75
-    alias_expansion: str = "all"
     # encoder
     dim: int = 64
     hash_buckets: int = 2**16
@@ -59,7 +58,6 @@ class PipelineConfig:
             k_kb=self.k_kb,
             k_desc=self.k_desc,
             bm25_params=Bm25Params(k1=self.bm25_k1, b=self.bm25_b),
-            alias_expansion=self.alias_expansion,
         )
 
     def encoder_config(self) -> EncoderConfig:

@@ -88,6 +88,8 @@ class EncoderConfig:
             raise InvalidConfig("max_len must be >= 8")
         if not self.ngram_orders or any(n < 1 for n in self.ngram_orders):
             raise InvalidConfig("ngram_orders must be non-empty positive integers")
+        if self.seed < 0:  # numpy's seed sequences take no negative entropy
+            raise InvalidConfig("seed must be >= 0")
         object.__setattr__(self, "ngram_orders", tuple(self.ngram_orders))
 
 
@@ -109,7 +111,8 @@ def build_mention_sequence(
 
     Truncation keeps the marker span intact and drops outermost context
     tokens from whichever side currently has more, left first on ties, so the
-    mention stays as centered as the budget allows.
+    mention stays as centered as the budget allows: the right side keeps half
+    the budget, rounded up, or what the left side leaves, if more.
     """
     if pieces is None:
         text, start, end = m.text, m.span_start, m.span_end
@@ -122,11 +125,9 @@ def build_mention_sequence(
         )
     budget = cfg.max_len - core_len
     keep_left, keep_right = len(left), len(right)
-    while keep_left + keep_right > budget:
-        if keep_left >= keep_right:
-            keep_left -= 1
-        else:
-            keep_right -= 1
+    if keep_left + keep_right > budget:
+        keep_right = min(keep_right, max(budget - keep_left, (budget + 1) // 2))
+        keep_left = budget - keep_right
     tokens = (
         *left[len(left) - keep_left :],
         MENTION_START,
@@ -296,6 +297,8 @@ class TrainConfig:
         for name in ("learning_rate", "epochs", "batch_size", "negatives_per_example"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be finite and positive")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
 
 @dataclass(frozen=True)

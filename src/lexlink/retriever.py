@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .artifacts import decoding, read_container, write_container
 from .bm25 import Bm25Index, Bm25Params, TermCounts, rank_term_counts
@@ -36,8 +37,6 @@ DESCRIPTION_COUNTS_MEMO_SIZE = 2**12
 # Ordered duplicate-free list of entity ids.
 CandidateSet = list[str]
 
-_EXPANSION_MODES = ("all", "best")
-
 
 @dataclass(frozen=True)
 class RetrieverConfig:
@@ -45,17 +44,12 @@ class RetrieverConfig:
     k_kb: int = 10
     k_desc: int = 10
     bm25_params: Bm25Params = field(default_factory=Bm25Params)
-    # "all": a hit alias expands to every entity it maps to, prior-descending;
-    # "best": only its top-prior entity. Full expansion favors tail entities.
-    alias_expansion: str = "all"
 
     def __post_init__(self):
         # A k beyond sys.maxsize cannot bound a list slice or islice.
         for name in ("k_at", "k_kb", "k_desc"):
             if not 1 <= getattr(self, name) <= sys.maxsize:
                 raise InvalidConfig(f"{name} must be in [1, {sys.maxsize}]")
-        if self.alias_expansion not in _EXPANSION_MODES:
-            raise InvalidConfig(f"alias_expansion must be one of {_EXPANSION_MODES}")
 
 
 @dataclass(frozen=True)
@@ -72,13 +66,7 @@ class RetrievalResult:
 def merge_coarse(cand_at: CandidateSet, cand_kb: CandidateSet) -> CandidateSet:
     """Stable duplicate-free union: alias candidates first, then unseen
     name candidates in their rank order."""
-    merged = list(cand_at)
-    seen = set(cand_at)
-    for entity_id in cand_kb:
-        if entity_id not in seen:
-            seen.add(entity_id)
-            merged.append(entity_id)
-    return merged
+    return list(dict.fromkeys([*cand_at, *cand_kb]))
 
 
 class Retriever:
@@ -104,6 +92,9 @@ class Retriever:
         return cls(at, [(entity.id, entity.name) for entity in kb.entities], config)
 
     def retrieve_coarse(self, mention: str) -> tuple[CandidateSet, CandidateSet]:
+        """The KB-BM25 and AT-BM25 candidates, each at most ``k_kb`` / ``k_at``
+        long. Each alias hit expands to every entity its alias maps to,
+        prior-descending; the first ``k_at`` distinct ones are kept."""
         query = tokenize(mention)
         if not query:
             return [], []
@@ -113,18 +104,8 @@ class Retriever:
 
         at_hits = self.at_index.top_k(query, self.config.k_at)
         entries, by_alias = self.alias_table.entries, self.alias_table.by_alias
-        width = 1 if self.config.alias_expansion == "best" else None
-        cand_at: CandidateSet = []
-        seen: set[str] = set()
-        for hit in at_hits:
-            for position in by_alias[entries[hit.doc_index].alias][:width]:
-                entity_id = entries[position].entity_id
-                if entity_id in seen:
-                    continue
-                seen.add(entity_id)
-                cand_at.append(entity_id)
-                if len(cand_at) == self.config.k_at:
-                    return cand_at, cand_kb
+        expanded = (entries[p].entity_id for hit in at_hits for p in by_alias[entries[hit.doc_index].alias])
+        cand_at = list(islice(dict.fromkeys(expanded), self.config.k_at))
         return cand_at, cand_kb
 
     def retrieve_fine(

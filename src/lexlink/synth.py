@@ -72,6 +72,8 @@ class SynthPaths:
 
 
 def _check_spec(spec: SynthSpec) -> tuple[int, int, int]:
+    if spec.seed < 0:
+        raise InfeasibleSpec(f"seed must be >= 0, got {spec.seed}")
     for name in ("n_entities", "n_aliases", "n_mentions"):
         if getattr(spec, name) < 1:
             raise InfeasibleSpec(f"{name} must be >= 1")

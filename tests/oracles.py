@@ -1,11 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's fast paths: BM25 evaluates the scoring
-formula term by term over raw token lists, the tokenizer classifies text one
-character at a time, the featurizer hashes every n-gram of every token, the
-ablation links the whole dataset once per row, a knowledge-base line is
-written by ``json.dumps``, and a training step stacks every sequence's
-embedding gradient rows before summing them.
+formula term by term over raw token lists, the coarse lists are gathered one
+entity at a time into a seen set, the tokenizer classifies text one character
+at a time, the mention window drops one context token per step, the
+featurizer hashes every n-gram of every token, the ablation links the whole
+dataset once per row, a knowledge-base line is written by ``json.dumps``, and
+a training step stacks every sequence's embedding gradient rows before
+summing them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from lexlink.reranker import (
     _pool,
     rerank,
 )
-from lexlink.retriever import FINE_QUERY_TOKEN_LIMIT, RetrievalResult, merge_coarse
+from lexlink.retriever import FINE_QUERY_TOKEN_LIMIT, RetrievalResult
 
 
 def bm25_score(docs: list[list[str]], query: list[str], doc_index: int, k1: float, b: float) -> float:
@@ -81,6 +83,53 @@ def bm25_top_k(docs: list[list[str]], query: list[str], k1: float, b: float, k: 
             scores[i] = scores.get(i, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
     positive = sorted((-s, i) for i, s in scores.items() if s > 0.0)
     return [(i, -s) for s, i in positive[:k]]
+
+
+def merge_coarse(cand_at: list[str], cand_kb: list[str]) -> list[str]:
+    """Alias candidates, then each name candidate not yet seen."""
+    merged = list(cand_at)
+    seen = set(cand_at)
+    for entity_id in cand_kb:
+        if entity_id not in seen:
+            seen.add(entity_id)
+            merged.append(entity_id)
+    return merged
+
+
+def retrieve_coarse(retriever, mention: str) -> tuple[list[str], list[str]]:
+    """``Retriever.retrieve_coarse`` from the rows it was built from: both
+    rankings by ``bm25_top_k``, and each alias hit expanded over the table
+    entries of its alias, prior-descending and then by entity id, taking each
+    entity not yet taken until ``k_at`` are taken."""
+    cfg, query = retriever.config, tokenize(mention)
+    k1, b = cfg.bm25_params.k1, cfg.bm25_params.b
+    names = [tokenize(name) for _, name in retriever.kb_rows]
+    cand_kb = [retriever.kb_rows[i][0] for i, _ in bm25_top_k(names, query, k1, b, cfg.k_kb)]
+    entries = retriever.alias_table.entries
+    cand_at: list[str] = []
+    seen: set[str] = set()
+    for i, _ in bm25_top_k([tokenize(e.alias) for e in entries], query, k1, b, cfg.k_at):
+        bucket = sorted((e for e in entries if e.alias == entries[i].alias), key=lambda e: (-e.prior, e.entity_id))
+        for entry in bucket:
+            if entry.entity_id in seen:
+                continue
+            seen.add(entry.entity_id)
+            cand_at.append(entry.entity_id)
+            if len(cand_at) == cfg.k_at:
+                return cand_at, cand_kb
+    return cand_at, cand_kb
+
+
+def mention_window(left: list[str], span: list[str], right: list[str], max_len: int) -> tuple[str, ...]:
+    """The marked mention sequence, trimmed one context token at a time from
+    whichever side has more, the left on ties, until it fits ``max_len``."""
+    keep_left, keep_right = len(left), len(right)
+    while keep_left + keep_right + len(span) + 2 > max_len:
+        if keep_left >= keep_right:
+            keep_left -= 1
+        else:
+            keep_right -= 1
+    return (*left[len(left) - keep_left :], MENTION_START, *span, MENTION_END, *right[:keep_right])
 
 
 def term_map_items(index) -> dict[str, list[tuple[int, float]]]:

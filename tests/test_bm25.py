@@ -22,10 +22,12 @@ def random_corpus(rng, max_docs=100, max_vocab=50):
 
 
 def test_build_counts_and_average_length():
-    index = Bm25Index.build([["apple"], ["apple", "pie"]])
+    docs = [["apple"], ["apple", "pie"]]
+    index = Bm25Index.build(docs)
     assert index.doc_count == 2
     assert index.postings["apple"] == [(0, 1), (1, 1)]
-    assert index.avg_doc_length == 1.5
+    # The length norms divide by the average length, 1.5.
+    assert term_map_items(index)["apple"] == bm25_top_k(docs, ["apple"], 1.5, 0.75, 2)
 
 
 def test_build_empty_corpus_returns_empty_rankings():
@@ -36,7 +38,7 @@ def test_build_empty_corpus_returns_empty_rankings():
 
 def test_build_all_empty_documents_returns_empty_rankings():
     index = Bm25Index.build([[], []])
-    assert index.avg_doc_length == 0.0
+    assert index.doc_count == 2 and index.contributions == {}
     assert index.top_k(["a"], 3) == []
 
 
@@ -47,8 +49,9 @@ def test_build_repeated_term_frequency():
 
 def test_build_allows_empty_documents():
     index = Bm25Index.build([[], ["x"]])
-    assert index.doc_lengths == [0, 1]
-    assert [d.doc_index for d in index.top_k(["x"], 5)] == [1]
+    assert index.doc_count == 2
+    # The empty document counts toward the average length, 0.5.
+    assert index.top_k(["x"], 5) == bm25_top_k([[], ["x"]], ["x"], 1.5, 0.75, 5)
 
 
 @pytest.mark.parametrize("doc", ["apple pie", {"apple": 2, "pie": 1}])
@@ -280,7 +283,9 @@ def test_adding_document_changes_only_idf_and_avgdl():
     grown = Bm25Index.build(extended)
     for token in ("a", "b"):
         assert grown.postings[token] == base.postings[token]
-    assert grown.avg_doc_length != base.avg_doc_length
+        # Both the idf and the average length moved, so every contribution did.
+        assert term_map_items(grown)[token] == bm25_top_k(extended, [token], 1.5, 0.75, 3)
+        assert all(grown.contributions[token][d] != c for d, c in base.contributions[token].items())
     assert grown.doc_count == base.doc_count + 1
 
 

@@ -285,6 +285,27 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["build-index", "--config", str(config)]) == 2
 
 
+def test_the_alias_expansion_key_is_refused_as_a_flag_and_as_a_config_line(tmp_path, capsys):
+    # AT expansion has one rule, every entity of a hit alias: a key that once
+    # chose another exits 2 rather than being ignored.
+    with pytest.raises(SystemExit) as info:
+        main(["build-index", "--alias-expansion", "best"])
+    assert info.value.code == 2
+    config = tmp_path / "lexlink.cfg"
+    config.write_text("alias_expansion = all\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["build-index", "--config", str(config)]) == 2
+    assert "unknown config key 'alias_expansion'" in capsys.readouterr().err
+
+
+def test_a_negative_synth_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["synth", "--seed", "-1", "--entities", "5", "--aliases", "5", "--mentions", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be >= 0") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_ablation_toggle_exits_2(tmp_path):
     run_workflow(tmp_path)
     assert main(["ablate", *workflow_flags(tmp_path), "--toggles", "bogus"]) == 2
@@ -301,8 +322,10 @@ def trained_workflow(tmp_path_factory):
     return root
 
 
-RETRIEVER_VALUES = [("--k-at", "0"), ("--k-desc", "0"), ("--alias-expansion", "bogus"), ("--bm25-b", "2")]
-MODEL_VALUES = [("--epochs", "0"), ("--dim", "0"), ("--ngram-orders", "x"), ("--hash-buckets", str(10**15))]
+RETRIEVER_VALUES = [("--k-at", "0"), ("--k-desc", "0"), ("--bm25-b", "2")]
+MODEL_VALUES = [
+    ("--epochs", "0"), ("--dim", "0"), ("--ngram-orders", "x"), ("--hash-buckets", str(10**15)), ("--seed", "-1"),
+]
 
 
 @pytest.mark.parametrize(
@@ -517,8 +540,8 @@ def test_a_mutated_artifact_exits_0_1_or_2_without_a_traceback(trained_workflow,
 # that the workflow flags leave to it.
 INPUT_COMMANDS = {"--kb": "build-index", "--aliases": "build-index", "--mentions": "predict", "--config": "predict"}
 BASE_CONFIG = {
-    "k_at": 10, "k_kb": 10, "k_desc": 10, "bm25_k1": 1.5, "bm25_b": 0.75, "alias_expansion": "all",
-    "ngram_orders": "1,2,3", "learning_rate": 0.05, "batch_size": 64, "negatives": 7,
+    "k_at": 10, "k_kb": 10, "k_desc": 10, "bm25_k1": 1.5, "bm25_b": 0.75,
+    "ngram_orders": "1,2,3", "learning_rate": 0.05, "batch_size": 64, "negatives": 7, "seed": 42,
 }
 INVALID_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
 DEEP = b"[" * 100_000
@@ -552,7 +575,6 @@ def mutated_config_line(data, line: bytes, mutation: str) -> bytes:
     if mutation == "retype":
         value = data.draw(st.sampled_from(["x", "", "[]", "1.5", "true", "1,,2"]))
     else:
-        assume(key != "alias_expansion")
         value = data.draw(st.sampled_from(["0", "-1", "-0.5", "2", str(2**64), str(-(2**64)), "1e999", "nan"]))
     return f"{key} = {value}\n".encode("utf-8")
 

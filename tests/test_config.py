@@ -15,16 +15,17 @@ REJECTED = {
     "b_nan": lambda: Bm25Params(b=float("nan")),
     "k_desc": lambda: RetrieverConfig(k_desc=0),
     "k_at_too_large": lambda: RetrieverConfig(k_at=2**64),
-    "alias_expansion": lambda: RetrieverConfig(alias_expansion="some"),
     "dim": lambda: EncoderConfig(dim=0),
     "hash_buckets": lambda: EncoderConfig(hash_buckets=0),
     "hash_buckets_too_large": lambda: EncoderConfig(hash_buckets=10**15, dim=16),
     "dim_too_large": lambda: EncoderConfig(hash_buckets=1, dim=2**14),
     "max_len": lambda: EncoderConfig(max_len=7),
     "ngram_orders": lambda: EncoderConfig(ngram_orders=(1, 0)),
+    "encoder_seed": lambda: EncoderConfig(seed=-1),
     "batch_size": lambda: TrainConfig(batch_size=0),
     "learning_rate_nan": lambda: TrainConfig(learning_rate=float("nan")),
     "learning_rate_inf": lambda: TrainConfig(learning_rate=float("inf")),
+    "train_seed": lambda: TrainConfig(seed=-1),
     "ngram_orders_text": lambda: PipelineConfig(ngram_orders="1,x").encoder_config(),
     "toggle": lambda: check_toggles(["ensemble", "bogus"]),
 }

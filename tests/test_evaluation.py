@@ -259,19 +259,16 @@ def table(reports):
     ambiguity=st.sampled_from((0.0, 0.3, 0.6, 1.0)),
     tail=st.sampled_from((0.0, 0.4, 1.0)),
     ks=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
-    expansion=st.sampled_from(("all", "best")),
     mixes=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)), max_size=5),
     order=st.permutations(TOGGLES),
 )
-def test_ablation_equals_the_five_pass_reference(seed, n_entities, ambiguity, tail, ks, expansion, mixes, order):
+def test_ablation_equals_the_five_pass_reference(seed, n_entities, ambiguity, tail, ks, mixes, order):
     spec = SynthSpec(
         seed=seed, n_entities=n_entities, n_aliases=2 * n_entities, n_mentions=10,
         ambiguity_rate=ambiguity, tail_rate=tail,
     )
     k_at, k_kb, k_desc = ks
-    pipeline, ds = make_pipeline(
-        spec, RetrieverConfig(k_at=k_at, k_kb=k_kb, k_desc=k_desc, alias_expansion=expansion)
-    )
+    pipeline, ds = make_pipeline(spec, RetrieverConfig(k_at=k_at, k_kb=k_kb, k_desc=k_desc))
     # Two surface forms in one mention give coarse lists that overlap only in part.
     surfaces = [entry.alias for entry in pipeline.retriever.alias_table.entries]
     ids = [entity.id for entity in pipeline.kb.entities]

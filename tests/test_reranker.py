@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -85,6 +85,22 @@ def test_mention_sequence_keeps_span_centered():
     seq = build_mention_sequence(mention(text, "X"), cfg)
     # budget of 6 context tokens, split evenly around the 3-token core
     assert list(seq.tokens) == ["d", "e", "f", MENTION_START, "x", MENTION_END, "g", "h", "i"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_left=st.integers(0, 300), n_right=st.integers(0, 300), budget=st.integers(0, 130), n_span=st.integers(0, 20))
+@example(n_left=0, n_right=0, budget=0, n_span=6)
+@example(n_left=0, n_right=9, budget=0, n_span=6)
+@example(n_left=9, n_right=0, budget=0, n_span=6)
+@example(n_left=0, n_right=0, budget=126, n_span=0)
+@example(n_left=5000, n_right=5000, budget=125, n_span=1)
+def test_mention_window_equals_the_one_token_at_a_time_trim(n_left, n_right, budget, n_span):
+    max_len = budget + n_span + 2  # budget: the context tokens that fit beside the marked span
+    assume(max_len >= 8)
+    left, span, right = ([f"{side}{i}" for i in range(n)] for side, n in (("l", n_left), ("m", n_span), ("r", n_right)))
+    m = MentionRecord(doc_id="d", text="", span_start=0, span_end=0, mention="")
+    seq = build_mention_sequence(m, EncoderConfig(max_len=max_len), (left, span, right))
+    assert seq.tokens == oracles.mention_window(left, span, right, max_len)
 
 
 def test_mention_too_long():

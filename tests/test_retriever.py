@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from lexlink import retriever as retriever_module
@@ -20,7 +22,7 @@ from lexlink.retriever import (
 )
 from lexlink.tokenizer import tokenize
 
-from oracles import bm25_ranking, bm25_term_rankings, term_map_items
+from oracles import bm25_ranking, bm25_term_rankings, bm25_top_k, term_map_items
 
 
 def mention(text, surface, gold=None):
@@ -94,12 +96,6 @@ def test_alias_hit_expands_full_bucket_in_prior_order(fruit_kb, fruit_aliases):
     assert cand_at == ["Q2", "Q1"]
 
 
-def test_alias_expansion_best_takes_top_prior_only(fruit_kb, fruit_aliases):
-    r = Retriever.build(fruit_kb, fruit_aliases, RetrieverConfig(alias_expansion="best"))
-    cand_at, _ = r.retrieve_coarse("BigA")
-    assert cand_at == ["Q2"]
-
-
 def test_empty_mention_yields_empty_sets(retriever):
     assert retriever.retrieve_coarse("") == ([], [])
 
@@ -142,6 +138,63 @@ def test_merge_empty_left():
 
 def test_merge_full_overlap():
     assert merge_coarse(["Q1"], ["Q1"]) == ["Q1"]
+
+
+_WORDS = ("iron", "gold", "river", "petal", "crane")
+
+
+@st.composite
+def alias_worlds(draw):
+    """Entities named from a few shared words, and unique aliases of one or
+    two of those words, each shared by two or three entities at priors that
+    may tie (then the entity id decides)."""
+    n = draw(st.integers(3, 8))
+    ids = [f"E{i}" for i in range(n)]
+    phrase = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=2).map(" ".join)
+    kb_rows = [(entity_id, draw(phrase)) for entity_id in ids]
+    entries = [
+        AliasEntry(alias=alias, entity_id=entity_id, prior=draw(st.sampled_from((0.1, 0.2, 0.3))))
+        for alias in draw(st.lists(phrase, min_size=1, max_size=6, unique=True))
+        for entity_id in draw(st.lists(st.sampled_from(ids), min_size=2, max_size=3, unique=True))
+    ]
+    return AliasTable(entries), kb_rows
+
+
+def test_coarse_lists_equal_the_one_entity_at_a_time_reference():
+    """``retrieve_coarse`` and ``merge_coarse`` against the seen-set loops in
+    ``oracles``, on draws that cut ``k_at`` inside one alias's entity list and
+    draws that meet one entity under two hit aliases."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        world=alias_worlds(),
+        k_at=st.integers(1, 5),
+        k_kb=st.integers(1, 5),
+        queries=st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map(" ".join), max_size=4),
+    )
+    def check(world, k_at, k_kb, queries):
+        at, kb_rows = world
+        r = Retriever(at, kb_rows, RetrieverConfig(k_at=k_at, k_kb=k_kb))
+        for query in queries:
+            cand_at, cand_kb = r.retrieve_coarse(query)
+            assert (cand_at, cand_kb) == oracles.retrieve_coarse(r, query)
+            assert merge_coarse(cand_at, cand_kb) == oracles.merge_coarse(cand_at, cand_kb)
+            assert merge_coarse(cand_kb, cand_at) == oracles.merge_coarse(cand_kb, cand_at)
+            # Each hit's alias, and the hit that first yields each entity.
+            aliases = [at.entries[hit.doc_index].alias for hit in r.at_index.top_k(tokenize(query), k_at)]
+            first = {}
+            for i, alias in enumerate(aliases):
+                for p in at.by_alias[alias]:
+                    first.setdefault(at.entries[p].entity_id, i)
+            if sum(len(at.by_alias[alias]) for alias in set(aliases)) > len(first):
+                seen.add("repeat across hit aliases")
+            order = list(first)
+            if len(order) > k_at and first[order[k_at - 1]] == first[order[k_at]]:
+                seen.add("cut inside one alias")
+
+    check()
+    assert seen == {"repeat across hit aliases", "cut inside one alias"}
 
 
 # -- fine --------------------------------------------------------------------
@@ -401,12 +454,15 @@ def test_save_load_round_trip_keeps_both_indexes(tmp_path):
         built = Retriever.build(kb, aliases, cfg)
         built.save(at_path, kb_path)
         loaded = Retriever.load(at_path, kb_path, cfg)
-        for before, after in ((built.at_index, loaded.at_index), (built.kb_index, loaded.kb_index)):
+        rows = {"at_index": [e.alias for e in aliases.entries], "kb_index": [e.name for e in kb.entities]}
+        for name, texts in rows.items():
+            before, after, docs = getattr(built, name), getattr(loaded, name), [tokenize(t) for t in texts]
             assert after.postings == before.postings
-            assert after.doc_lengths == before.doc_lengths
             assert term_map_items(after) == bm25_term_rankings(before)
-            assert after.params == before.params
             query = [rng.choice([*sorted(before.postings), "absent"]) for _ in range(3)]
+            # The loaded index scores with the configured params over the stored rows.
+            want = [(d, score.hex()) for d, score in bm25_top_k(docs, query, 1.2, 0.4, 10)]
+            assert [(hit.doc_index, hit.score.hex()) for hit in after.top_k(query, 10)] == want
             assert after.top_k(query, 10) == before.top_k(query, 10)
 
 
@@ -438,7 +494,12 @@ def test_load_scores_with_the_configured_bm25_params(tmp_path):
     Retriever.build(kb, aliases).save(at_path, kb_path)
     cfg = RetrieverConfig(bm25_params=Bm25Params(b=0.2))
     loaded = Retriever.load(at_path, kb_path, cfg)
-    assert loaded.at_index.params == loaded.kb_index.params == cfg.bm25_params
+    rows = {"at_index": [e.alias for e in aliases.entries], "kb_index": [e.name for e in kb.entities]}
+    for name, texts in rows.items():
+        docs = [tokenize(text) for text in texts]
+        for query in (["apple"], ["pie"], ["apple", "pie"], ["big", "tree"]):
+            want = [(d, score.hex()) for d, score in bm25_top_k(docs, query, 1.5, 0.2, 4)]
+            assert [(hit.doc_index, hit.score.hex()) for hit in getattr(loaded, name).top_k(query, 4)] == want
     built, default = Retriever.build(kb, aliases, cfg), Retriever.build(kb, aliases)
     for index in ("at_index", "kb_index"):
         assert term_map_items(getattr(loaded, index)) == term_map_items(getattr(built, index))
