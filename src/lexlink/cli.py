@@ -7,6 +7,7 @@ ablate. Exit codes: 0 success, 1 I/O failure, 2 data or validation failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .config import ENV_CONFIG_VAR, FIELD_TYPES, PipelineConfig, load_config
 from .corpus import KnowledgeBase, load_alias_table, load_knowledge_base, load_mentions
-from .errors import DataError, StaleStore
+from .errors import ArtifactFormatError, DataError, StaleStore
 from .evaluation import (
     accuracy_table_text,
     evaluate_dataset,
@@ -23,7 +24,7 @@ from .evaluation import (
     write_json_report,
 )
 from .pipeline import TOGGLES, LinkedMention, Pipeline, check_toggles
-from .reranker import DualEncoder, EntityEmbeddingStore, entity_encoder_digest, precompute_entity_embeddings, train
+from .reranker import DualEncoder, EntityEmbeddingStore, precompute_entity_embeddings, train
 from .retriever import Retriever
 from .synth import SynthSpec, generate_synthetic
 
@@ -39,6 +40,13 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     path = args.config or os.environ.get(ENV_CONFIG_VAR)
     overrides = {name: getattr(args, name) for name in FIELD_TYPES}
     return load_config(path, overrides)
+
+
+def _refuse_directory(*paths) -> None:
+    """Fail as writing to a directory would, before any work is done."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _ensure_parent(path) -> None:
@@ -64,7 +72,7 @@ def _load_pipeline(cfg: PipelineConfig) -> Pipeline:
     retriever = _load_retriever(cfg, kb)
     model = DualEncoder.load(cfg.model)
     store = EntityEmbeddingStore.load(cfg.store, kb)
-    if store.encoder_digest != entity_encoder_digest(model):
+    if store.encoder_digest != model.entity_digest:
         raise StaleStore(
             f"{cfg.store}: stale entity store: embedded by another model than {cfg.model}; rerun embed-entities"
         )
@@ -88,6 +96,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_build_index(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    _refuse_directory(cfg.at_index, cfg.kb_index)
     kb = load_knowledge_base(cfg.kb)
     aliases = load_alias_table(cfg.aliases)
     retriever = Retriever.build(kb, aliases, cfg.retriever_config())
@@ -101,6 +110,7 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    _refuse_directory(cfg.model)
     kb = load_knowledge_base(cfg.kb)
     dataset = load_mentions(cfg.train_mentions, split="train")
     retriever = _load_retriever(cfg, kb)
@@ -115,9 +125,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_embed_entities(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    _refuse_directory(cfg.store)
     kb = load_knowledge_base(cfg.kb)
     model = DualEncoder.load(cfg.model)
     store = precompute_entity_embeddings(model, kb)
+    if store.encoder_digest != model.entity_digest:
+        raise ArtifactFormatError(
+            f"{cfg.model}: entity encoder arrays do not match the digest in its header; rerun train"
+        )
     _ensure_parent(cfg.store)
     store.save(cfg.store)
     print(f"entity store: {store.matrix.shape[0]} rows -> {cfg.store}")

@@ -43,8 +43,8 @@ from .errors import (
 from .retriever import CandidateSet, Retriever, merge_coarse
 from .tokenizer import TokenStream, tokenize
 
-MODEL_FORMAT_TAG = "lexlink.dual-encoder/1"
-STORE_FORMAT_TAG = "lexlink.entity-store/2"
+MODEL_FORMAT_TAG = "lexlink.dual-encoder/2"
+STORE_FORMAT_TAG = "lexlink.entity-store/3"
 
 # Largest (hash_buckets + dim) * dim accepted: the float64 embedding table and
 # projection of one of the model's two encoders, 1 GiB at this limit.
@@ -237,6 +237,9 @@ class DualEncoder:
     entity_params: EncoderParams
     cfg: EncoderConfig
     train_seed: int | None = None
+    # The entity_encoder_digest recorded in the file the model was loaded
+    # from, so that a store can be checked without reading the entity arrays.
+    entity_digest: str | None = None
 
     @classmethod
     def initialize(cls, cfg: EncoderConfig) -> "DualEncoder":
@@ -255,7 +258,11 @@ class DualEncoder:
         return encode(build_entity_sequence(e, self.cfg), self.entity_params, self.cfg)
 
     def save(self, path) -> None:
-        meta = {"encoder_config": asdict(self.cfg), "train_seed": self.train_seed}
+        meta = {
+            "encoder_config": asdict(self.cfg),
+            "train_seed": self.train_seed,
+            "entity_encoder_digest": entity_encoder_digest(self),
+        }
         arrays = {
             f"{side}.{name}": getattr(params, name)
             for side, params in (("mention", self.mention_params), ("entity", self.entity_params))
@@ -265,10 +272,13 @@ class DualEncoder:
 
     @classmethod
     def load(cls, path) -> "DualEncoder":
-        meta, arrays = read_container(path, MODEL_FORMAT_TAG)
+        meta, arrays = read_container(path, MODEL_FORMAT_TAG, rerun="train")
         with decoding(path):
             # Every field is required: a default would silently change features.
             cfg = EncoderConfig(**{f.name: meta["encoder_config"][f.name] for f in fields(EncoderConfig)})
+            digest = meta["entity_encoder_digest"]
+            if not isinstance(digest, str):
+                raise TypeError(f"entity_encoder_digest is {digest!r}, not a string")
             shapes = {"embedding": (cfg.hash_buckets, cfg.dim), "projection": (cfg.dim, cfg.dim), "bias": (cfg.dim,)}
             params = []
             for side in ("mention", "entity"):
@@ -277,7 +287,7 @@ class DualEncoder:
                     if array.shape != shape:
                         raise ValueError(f"array {side}.{name} has shape {array.shape}, expected {shape}")
                 params.append(EncoderParams(**{name: arrays[f"{side}.{name}"] for name in shapes}))
-            return cls(*params, cfg, train_seed=meta.get("train_seed"))
+            return cls(*params, cfg, train_seed=meta.get("train_seed"), entity_digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +546,7 @@ class EntityEmbeddingStore:
 
     @classmethod
     def load(cls, path, kb: KnowledgeBase) -> "EntityEmbeddingStore":
-        meta, arrays = read_container(path, STORE_FORMAT_TAG)
+        meta, arrays = read_container(path, STORE_FORMAT_TAG, rerun="embed-entities")
         with decoding(path):
             if meta["kb_fingerprint"] != kb.fingerprint():
                 raise StaleStore(
@@ -549,8 +559,9 @@ class EntityEmbeddingStore:
 
 
 def entity_encoder_digest(model: DualEncoder) -> str:
-    """CRC-32, in hex, of the entity encoder's three arrays: a store records
-    it, so that a store embedded by another model can be told apart."""
+    """CRC-32, in hex, of the entity encoder's three arrays: a model's header
+    and a store record it, so that a store embedded by another model can be
+    told apart."""
     crc = 0
     for array in (model.entity_params.embedding, model.entity_params.projection, model.entity_params.bias):
         crc = zlib.crc32(np.ascontiguousarray(array, dtype="<f8").data, crc)

@@ -1,17 +1,23 @@
+import errno
 import json
 
 import numpy as np
 import pytest
 
-from lexlink.artifacts import decoding, read_container, write_container
+from lexlink.artifacts import ALIGNMENT, decoding, read_container, write_container
 from lexlink.errors import ArtifactFormatError, StaleStore
 
 
 def rewrite_header(path, edit) -> None:
+    """Edit the header of the container at ``path`` and write it back as the
+    writer would: padded with spaces to the alignment when arrays follow."""
     head, _, payload = path.read_bytes().partition(b"\n")
     header = json.loads(head)
     edit(header)
-    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    line = json.dumps(header).encode("utf-8")
+    if payload:
+        line += b" " * (-(len(line) + 1) % ALIGNMENT)
+    path.write_bytes(line + b"\n" + payload)
 
 
 def test_round_trip_keeps_meta_names_shapes_and_bytes(tmp_path):
@@ -35,6 +41,66 @@ def test_round_trip_keeps_meta_names_shapes_and_bytes(tmp_path):
         assert loaded[name].flags.writeable
     write_container(again, "test/1", meta, loaded)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_arrays_start_aligned_after_a_padded_header(tmp_path):
+    path = tmp_path / "a.lxc"
+    write_container(path, "test/1", {"k": "é" * 7}, {"a": np.arange(3.0), "b": np.ones((2, 2))})
+    head, _, payload = path.read_bytes().partition(b"\n")
+    assert (len(head) + 1) % ALIGNMENT == 0 and head.endswith(b" ")
+    assert payload == np.arange(3.0).tobytes() + np.ones((2, 2)).tobytes()
+    _, loaded = read_container(path, "test/1")
+    assert all(array.flags.aligned and not array.flags.owndata for array in loaded.values())
+
+
+@pytest.mark.parametrize("shift", [b" ", b"  " * (ALIGNMENT // 2 - 1) + b" "])
+def test_a_misaligned_header_is_refused_naming_the_path(tmp_path, shift):
+    path = tmp_path / "a.lxc"
+    write_container(path, "test/1", {}, {"a": np.zeros(3)})
+    head, _, payload = path.read_bytes().partition(b"\n")
+    path.write_bytes(head + shift + b"\n" + payload)
+    with pytest.raises(ArtifactFormatError) as info:
+        read_container(path, "test/1")
+    assert str(info.value) == (
+        f"{path}: header line of {len(head) + len(shift) + 1} bytes leaves the arrays unaligned to 64 bytes"
+    )
+
+
+def test_a_loaded_array_is_writable_and_a_write_leaves_the_file_unchanged(tmp_path):
+    path = tmp_path / "a.lxc"
+    write_container(path, "test/1", {}, {"a": np.arange(4.0), "b": np.arange(6.0).reshape(2, 3)})
+    before = path.read_bytes()
+    _, loaded = read_container(path, "test/1")
+    loaded["a"][1] = -7.0
+    loaded["b"] *= 2.0
+    assert loaded["a"].tolist() == [0.0, -7.0, 2.0, 3.0]
+    assert path.read_bytes() == before
+    _, again = read_container(path, "test/1")
+    assert again["a"].tolist() == [0.0, 1.0, 2.0, 3.0] and again["b"].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+
+class FailsWhenWritten:
+    """An array-like whose shape can be read once; converting it again, to
+    write it, fails as a full disk would."""
+
+    def __init__(self):
+        self.conversions = 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.conversions += 1
+        if self.conversions > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return np.zeros(3, dtype=dtype)
+
+
+def test_a_write_that_fails_midway_leaves_the_old_file_and_no_temporary_file(tmp_path):
+    path = tmp_path / "a.lxc"
+    write_container(path, "test/1", {"old": True}, {"a": np.ones(2)})
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="No space left"):
+        write_container(path, "test/1", {"old": False}, {"a": np.zeros(1000), "b": FailsWhenWritten()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.lxc"]
 
 
 def test_a_container_without_arrays_is_one_line_of_json(tmp_path):

@@ -395,7 +395,12 @@ def split_header(path: Path) -> tuple[object, bytes]:
 
 
 def with_header(header, payload: bytes) -> bytes:
-    return json.dumps(header).encode("utf-8") + b"\n" + payload
+    """``header`` and ``payload`` as the writer lays them out: the header line
+    padded with spaces to a multiple of 64 bytes when arrays follow it."""
+    line = json.dumps(header).encode("utf-8")
+    if payload:
+        line += b" " * (-(len(line) + 1) % 64)
+    return line + b"\n" + payload
 
 
 def lookup(value, keys):
@@ -446,6 +451,8 @@ def previous_index_layout(header):
         pytest.param("--model", removing(("meta", "encoder_config", "ngram_orders")), id="config-without-ngram-orders"),
         pytest.param("--model", setting(("arrays", 0, "shape"), [-2048, 16]), id="negative-shape"),
         pytest.param("--model", setting(("meta", "encoder_config", "hash_buckets"), 4096), id="more-buckets-than-rows"),
+        pytest.param("--model", removing(("meta", "entity_encoder_digest")), id="model-without-entity-digest"),
+        pytest.param("--model", setting(("meta", "entity_encoder_digest"), 7), id="model-entity-digest-retyped"),
         pytest.param("--store", setting(("arrays", 0, "name"), "vectors"), id="store-array-renamed"),
         pytest.param("--store", removing(("meta", "encoder_digest")), id="store-without-encoder-digest"),
         pytest.param("--store", setting(("meta", "encoder_digest"), 7), id="store-encoder-digest-retyped"),
@@ -457,6 +464,79 @@ def test_malformed_artifact_exits_2_naming_it(trained_workflow, flag, edit):
     assert code == 2
     mutant = trained_workflow / "mutant" / artifact_flags(trained_workflow)[flag].name
     assert err.startswith(f"error: {mutant}: ") and "Traceback" not in err
+    assert "align" not in err
+
+
+@pytest.mark.parametrize("flag", ["--model", "--store"])
+def test_a_header_misaligned_by_one_byte_exits_2_naming_it(trained_workflow, flag):
+    head, _, payload = artifact_flags(trained_workflow)[flag].read_bytes().partition(b"\n")
+    code, err = predict_with(trained_workflow, flag, head + b" \n" + payload)
+    assert code == 2
+    mutant = trained_workflow / "mutant" / artifact_flags(trained_workflow)[flag].name
+    assert err == f"error: {mutant}: header line of {len(head) + 2} bytes leaves the arrays unaligned to 64 bytes\n"
+
+
+def previous_model_layout(header):
+    """The ``lexlink.dual-encoder/1`` header: no entity digest, not padded."""
+    del header["meta"]["entity_encoder_digest"]
+    return {**header, "format": "lexlink.dual-encoder/1"}
+
+
+@pytest.mark.parametrize(
+    "flag,edit,expected,command",
+    [
+        ("--model", previous_model_layout, "lexlink.dual-encoder/2", "train"),
+        ("--store", setting(("format",), "lexlink.entity-store/2"), "lexlink.entity-store/3", "embed-entities"),
+    ],
+)
+def test_an_artifact_of_the_previous_layout_exits_2_naming_the_command_to_rerun(
+    trained_workflow, flag, edit, expected, command
+):
+    header, payload = split_header(artifact_flags(trained_workflow)[flag])
+    old = edit(header)
+    code, err = predict_with(trained_workflow, flag, json.dumps(old).encode("utf-8") + b"\n" + payload)
+    assert code == 2
+    mutant = trained_workflow / "mutant" / artifact_flags(trained_workflow)[flag].name
+    assert err == f"error: {mutant}: expected format {expected!r}, got {old['format']!r}; rerun {command}\n"
+
+
+def test_embed_entities_refuses_a_model_whose_entity_arrays_differ_from_its_digest(trained_workflow, capsys):
+    model = artifact_flags(trained_workflow)["--model"]
+    header, payload = split_header(model)
+    entity_start = sum(8 * math.prod(entry["shape"]) for entry in header["arrays"][:3])
+    assert header["arrays"][3]["name"] == "entity.embedding"
+    flipped = bytearray(payload)
+    flipped[entity_start] ^= 0x01
+    mutant = trained_workflow / "mutant" / "flipped.lxc"
+    mutant.parent.mkdir(exist_ok=True)
+    mutant.write_bytes(with_header(header, bytes(flipped)))
+    store = trained_workflow / "mutant" / "flipped-entities.lxc"
+    capsys.readouterr()
+    assert main(["embed-entities", *workflow_flags(trained_workflow), "--model", str(mutant), "--store", str(store)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {mutant}: entity encoder arrays do not match the digest in its header; rerun train\n"
+    )
+    assert not store.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("train", "--model"), ("embed-entities", "--store"), ("build-index", "--at-index"), ("build-index", "--kb-index")],
+)
+def test_a_directory_output_path_exits_1_before_any_work(trained_workflow, capsys, monkeypatch, command, flag):
+    directory = trained_workflow / "mutant" / "a-directory"
+    directory.mkdir(parents=True, exist_ok=True)
+
+    def work_begun(path):
+        raise AssertionError(f"{command} read {path} before refusing its output path")
+
+    monkeypatch.setattr("lexlink.cli.load_knowledge_base", work_begun)
+    capsys.readouterr()
+    assert main([command, *workflow_flags(trained_workflow), flag, str(directory)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: [Errno 21] Is a directory: '{directory}'\n"
+    assert out == ""
+    assert list(directory.iterdir()) == []
 
 
 def ids_as_lists(header):

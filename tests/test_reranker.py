@@ -35,6 +35,7 @@ from lexlink.reranker import (
     build_training_examples,
     dataset_loss,
     encode,
+    entity_encoder_digest,
     example_loss,
     precompute_entity_embeddings,
     rerank,
@@ -660,6 +661,7 @@ def test_model_save_load_round_trip(tmp_path):
     reloaded = DualEncoder.load(path)
     assert reloaded.cfg == model.cfg
     assert reloaded.train_seed == 4
+    assert reloaded.entity_digest == entity_encoder_digest(model)
     assert np.array_equal(reloaded.mention_params.embedding, model.mention_params.embedding)
     assert np.array_equal(reloaded.entity_params.projection, model.entity_params.projection)
     m = ds.records[0]
@@ -681,3 +683,32 @@ def test_saving_a_model_copies_none_of_its_arrays(tmp_path):
         tracemalloc.stop()
     assert peak < 0.01 * array_bytes
     assert (tmp_path / "model.lxc").stat().st_size > array_bytes
+
+
+def test_loading_a_model_reads_none_of_its_arrays(tmp_path):
+    path = tmp_path / "model.lxc"
+    DualEncoder.initialize(EncoderConfig(hash_buckets=2**16, dim=64, seed=6)).save(path)
+    tracemalloc.start()
+    try:
+        model = DualEncoder.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert model.mention_params.embedding.shape == (2**16, 64)
+
+
+def test_saving_over_a_loaded_model_leaves_its_arrays_as_loaded(tmp_path):
+    path = tmp_path / "model.lxc"
+    DualEncoder.initialize(EncoderConfig(hash_buckets=256, dim=8, seed=1)).save(path)
+    loaded = DualEncoder.load(path)
+    arrays = [
+        getattr(params, name)
+        for params in (loaded.mention_params, loaded.entity_params)
+        for name in ("embedding", "projection", "bias")
+    ]
+    as_loaded = [array.tobytes() for array in arrays]
+    other = DualEncoder.initialize(EncoderConfig(hash_buckets=256, dim=8, seed=2))
+    other.save(path)
+    assert [array.tobytes() for array in arrays] == as_loaded
+    assert DualEncoder.load(path).entity_digest == entity_encoder_digest(other) != loaded.entity_digest
