@@ -23,7 +23,7 @@ from .evaluation import (
     run_ablation,
     write_json_report,
 )
-from .pipeline import TOGGLES, LinkedMention, Pipeline, check_toggles
+from .pipeline import LinkedMention, Pipeline
 from .reranker import DualEncoder, EntityEmbeddingStore, precompute_entity_embeddings, train
 from .retriever import Retriever
 from .synth import SynthSpec, generate_synthetic
@@ -47,6 +47,14 @@ def _refuse_directory(*paths) -> None:
     for path in paths:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
+def _refuse_report_dir(path, *names) -> None:
+    """Fail as making the report directory or writing ``names`` into it would,
+    before any work is done."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
+    _refuse_directory(*(Path(path) / name for name in names))
 
 
 def _ensure_parent(path) -> None:
@@ -160,6 +168,7 @@ def _prediction_line(lm: LinkedMention) -> str:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    _refuse_directory(cfg.predictions)
     pipeline = _load_pipeline(cfg)
     mentions_path = args.mentions_path or cfg.eval_mentions
     dataset = load_mentions(mentions_path)
@@ -174,6 +183,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    _refuse_report_dir(cfg.report_dir, "recall.txt", "recall.json", "accuracy.txt", "accuracy.json")
     pipeline = _load_pipeline(cfg)
     dataset = load_mentions(cfg.eval_mentions)
     recall, acc, _ = evaluate_dataset(pipeline, dataset)
@@ -192,11 +202,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    toggles = tuple(part.strip() for part in args.toggles.split(",") if part.strip())
-    check_toggles(toggles)
+    _refuse_report_dir(cfg.report_dir, "ablation.txt", "ablation.json")
     pipeline = _load_pipeline(cfg)
     dataset = load_mentions(cfg.eval_mentions)
-    reports = run_ablation(pipeline, dataset, toggles)
+    reports = run_ablation(pipeline, dataset)
     out = Path(cfg.report_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = accuracy_table_text(reports)
@@ -222,21 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", default="data")
     synth.set_defaults(func=cmd_synth)
 
-    for name, func, extra in (
-        ("build-index", cmd_build_index, None),
-        ("train", cmd_train, None),
-        ("embed-entities", cmd_embed_entities, None),
-        ("predict", cmd_predict, "mentions"),
-        ("evaluate", cmd_evaluate, None),
-        ("ablate", cmd_ablate, "toggles"),
+    for name, func in (
+        ("build-index", cmd_build_index), ("train", cmd_train), ("embed-entities", cmd_embed_entities),
+        ("predict", cmd_predict), ("evaluate", cmd_evaluate), ("ablate", cmd_ablate),
     ):
         command = sub.add_parser(name, parents=[parent], help=f"{name} step")
-        if extra == "mentions":
+        if name == "predict":
             command.add_argument("--mentions", dest="mentions_path", default=None,
                                  help="mentions file (default: eval_mentions from config)")
-        if extra == "toggles":
-            command.add_argument("--toggles", default=",".join(TOGGLES),
-                                 help="comma-separated subset of " + ",".join(TOGGLES))
         command.set_defaults(func=func)
     return parser
 

@@ -15,7 +15,7 @@ from typing import Sequence
 from .corpus import Dataset
 from .ensemble import Prediction
 from .errors import LengthMismatch
-from .pipeline import TOGGLES, LinkedMention, Pipeline, check_toggles
+from .pipeline import TOGGLES, LinkedMention, Pipeline
 from .retriever import RetrievalResult
 
 RECALL_KS = (1, 5, 10)
@@ -166,8 +166,8 @@ def evaluate_dataset(pipeline: Pipeline, ds: Dataset) -> tuple[RecallReport, Acc
     return recall, acc, linked
 
 
-def run_ablation(pipeline: Pipeline, ds: Dataset, toggles: Sequence[str] = TOGGLES) -> list[AccuracyReport]:
-    """Full system plus one row per toggle, in canonical row order.
+def run_ablation(pipeline: Pipeline, ds: Dataset) -> list[AccuracyReport]:
+    """Full system plus one row per toggle, in ``TOGGLES`` order.
 
     Disabling ``ensemble`` takes the reranker top-1 directly; disabling a
     BM25 stage removes its candidates from the cascade and its vote. Every
@@ -176,14 +176,12 @@ def run_ablation(pipeline: Pipeline, ds: Dataset, toggles: Sequence[str] = TOGGL
     link as it is. Each row equals linking the dataset with its toggle
     disabled, and a record that fails to link raises as it would there.
     """
-    check_toggles(toggles)
     golds = _golds(ds)
-    rows = [toggle for toggle in TOGGLES if toggle in toggles]
-    preds: list[list[Prediction | None]] = [[] for _ in range(len(rows) + 1)]
+    preds: list[list[Prediction | None]] = [[] for _ in range(len(TOGGLES) + 1)]
     for record in ds.records:
-        for column, lm in zip(preds, pipeline.ablate(record, rows)):
+        for column, lm in zip(preds, pipeline.ablate(record)):
             column.append(lm.prediction)
-    systems = ["full", *(ABLATION_LABELS[toggle] for toggle in rows)]
+    systems = ["full", *(ABLATION_LABELS[toggle] for toggle in TOGGLES)]
     return [accuracy(column, golds, system=system) for column, system in zip(preds, systems)]
 
 

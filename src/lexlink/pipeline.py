@@ -5,7 +5,6 @@ retrieve, rerank Cand1 (the fine stage's Cand2 is a subset of it), vote.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .corpus import Dataset, KnowledgeBase, MentionRecord
 from .ensemble import Prediction, VoteInput, vote
@@ -58,9 +57,10 @@ class Pipeline:
         reranked = rerank(self.model, self.store, m, result.cand1, (left, span, right))
         return _decide(m, result, reranked, disabled, doc_tokens)
 
-    def ablate(self, m: MentionRecord, toggles: Sequence[str]) -> list[LinkedMention]:
-        """``link(m)`` followed by, for each toggle, what ``link(m, {toggle})``
-        returns, derived from that one link instead of linking again.
+    def ablate(self, m: MentionRecord) -> list[LinkedMention]:
+        """``link(m)`` followed by, for each toggle in ``TOGGLES`` order, what
+        ``link(m, {toggle})`` returns, derived from that one link instead of
+        linking again.
 
         Disabling ``ensemble`` or ``desc_bm25`` keeps the reranker pool, which
         is Cand1 either way. Each stage row comes from ``Retriever.retrieve``
@@ -70,10 +70,9 @@ class Pipeline:
         entity and it ranks by ``(-score, entity_id)``, so the full ranking
         filtered to a smaller pool is that pool's ranking.
         """
-        check_toggles(toggles)
         lm = self.link(m)
         views = [lm]
-        for toggle in toggles:
+        for toggle in TOGGLES:
             disabled = frozenset((toggle,))
             result = (
                 lm.retrieval

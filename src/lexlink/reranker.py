@@ -521,22 +521,19 @@ class EntityEmbeddingStore:
     """Precomputed entity vectors in knowledge-base order."""
 
     matrix: np.ndarray  # (n_entities, dim)
-    entity_ids: list[str]
+    row_of: dict[str, int]  # the knowledge base's own id -> row map, not a copy
     kb_fingerprint: str
     encoder_digest: str  # entity_encoder_digest of the model that embedded it
 
-    def __post_init__(self):
-        self._row_of = {entity_id: row for row, entity_id in enumerate(self.entity_ids)}
-
     def row(self, entity_id: str) -> np.ndarray:
-        if entity_id not in self._row_of:
+        if entity_id not in self.row_of:
             raise UnknownCandidate(entity_id)
-        return self.matrix[self._row_of[entity_id]]
+        return self.matrix[self.row_of[entity_id]]
 
     def rows(self, entity_ids: Sequence[str]) -> np.ndarray:
         """The vectors of ``entity_ids``, one row each, in their order."""
         try:
-            return self.matrix.take([self._row_of[entity_id] for entity_id in entity_ids], axis=0)
+            return self.matrix.take([self.row_of[entity_id] for entity_id in entity_ids], axis=0)
         except KeyError as exc:
             raise UnknownCandidate(exc.args[0]) from None
 
@@ -555,7 +552,7 @@ class EntityEmbeddingStore:
             matrix = arrays["values"]
             if matrix.shape[0] != len(kb):
                 raise StaleStore(f"entity store has {matrix.shape[0]} rows for a KB of {len(kb)} entities")
-            return cls(matrix, [e.id for e in kb.entities], meta["kb_fingerprint"], meta["encoder_digest"])
+            return cls(matrix, kb.index, meta["kb_fingerprint"], meta["encoder_digest"])
 
 
 def entity_encoder_digest(model: DualEncoder) -> str:
@@ -572,7 +569,7 @@ def precompute_entity_embeddings(model: DualEncoder, kb: KnowledgeBase) -> Entit
     matrix = np.empty((len(kb), model.cfg.dim))
     for row, entity in enumerate(kb.entities):
         matrix[row] = model.encode_entity(entity)
-    return EntityEmbeddingStore(matrix, [e.id for e in kb.entities], kb.fingerprint(), entity_encoder_digest(model))
+    return EntityEmbeddingStore(matrix, kb.index, kb.fingerprint(), entity_encoder_digest(model))
 
 
 def rerank(

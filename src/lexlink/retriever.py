@@ -179,8 +179,8 @@ class Retriever:
     def load(cls, at_path, kb_path, config: RetrieverConfig = RetrieverConfig()) -> "Retriever":
         """``build`` over the stored rows; both indexes score with
         ``config.bm25_params``."""
-        at_meta, _ = read_container(at_path, AT_FORMAT_TAG)
-        kb_meta, _ = read_container(kb_path, KB_FORMAT_TAG)
+        at_meta, _ = read_container(at_path, AT_FORMAT_TAG, rerun="build-index")
+        kb_meta, _ = read_container(kb_path, KB_FORMAT_TAG, rerun="build-index")
         # Ids and names are read as strings: another type cannot match the
         # knowledge base, and must not reach the sets that hold candidates.
         with decoding(at_path):

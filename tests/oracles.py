@@ -242,12 +242,12 @@ def link(pipeline: Pipeline, m: MentionRecord, disabled: frozenset[str] = frozen
     )
 
 
-def run_ablation(pipeline: Pipeline, ds: Dataset, toggles=TOGGLES) -> list[AccuracyReport]:
+def run_ablation(pipeline: Pipeline, ds: Dataset) -> list[AccuracyReport]:
     """One pass over the whole dataset per row: the full system, then each
     toggle in ``TOGGLES`` order disabled on its own."""
     golds = [record.gold_id for record in ds.records]
     rows = [("full", frozenset())]
-    rows += [(ABLATION_LABELS[t], frozenset((t,))) for t in TOGGLES if t in toggles]
+    rows += [(ABLATION_LABELS[t], frozenset((t,))) for t in TOGGLES]
     return [
         accuracy([link(pipeline, record, disabled).prediction for record in ds.records], golds, system=system)
         for system, disabled in rows

@@ -264,7 +264,7 @@ def test_criterion_8_learning_signal():
                             store=precompute_entity_embeddings(model, kb))
     _, acc_trained, _ = evaluate_dataset(pipe_trained, held_out)
 
-    rows = run_ablation(pipe_trained, held_out, toggles=("ensemble",))
+    rows = run_ablation(pipe_trained, held_out)
     without_ensemble = next(r for r in rows if r.system == "w/o Ensemble")
     standalone = []
     for record in held_out.records:

@@ -306,9 +306,13 @@ def test_a_negative_synth_seed_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_unknown_ablation_toggle_exits_2(tmp_path):
-    run_workflow(tmp_path)
-    assert main(["ablate", *workflow_flags(tmp_path), "--toggles", "bogus"]) == 2
+def test_the_toggles_flag_is_refused_as_an_unknown_flag(capsys):
+    # The ablation is always the full row plus one row per toggle: a flag
+    # that once picked a subset of rows exits 2 rather than being ignored.
+    with pytest.raises(SystemExit) as info:
+        main(["ablate", "--toggles", "ensemble"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --toggles ensemble" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -487,6 +491,8 @@ def previous_model_layout(header):
     [
         ("--model", previous_model_layout, "lexlink.dual-encoder/2", "train"),
         ("--store", setting(("format",), "lexlink.entity-store/2"), "lexlink.entity-store/3", "embed-entities"),
+        ("--at-index", setting(("format",), "lexlink.at-index/2"), "lexlink.at-index/3", "build-index"),
+        ("--kb-index", setting(("format",), "lexlink.kb-index/2"), "lexlink.kb-index/3", "build-index"),
     ],
 )
 def test_an_artifact_of_the_previous_layout_exits_2_naming_the_command_to_rerun(
@@ -521,7 +527,10 @@ def test_embed_entities_refuses_a_model_whose_entity_arrays_differ_from_its_dige
 
 @pytest.mark.parametrize(
     "command,flag",
-    [("train", "--model"), ("embed-entities", "--store"), ("build-index", "--at-index"), ("build-index", "--kb-index")],
+    [
+        ("train", "--model"), ("embed-entities", "--store"), ("build-index", "--at-index"),
+        ("build-index", "--kb-index"), ("predict", "--predictions"),
+    ],
 )
 def test_a_directory_output_path_exits_1_before_any_work(trained_workflow, capsys, monkeypatch, command, flag):
     directory = trained_workflow / "mutant" / "a-directory"
@@ -537,6 +546,35 @@ def test_a_directory_output_path_exits_1_before_any_work(trained_workflow, capsy
     assert err == f"error: [Errno 21] Is a directory: '{directory}'\n"
     assert out == ""
     assert list(directory.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+def test_a_report_dir_that_is_a_file_exits_1_before_any_work(trained_workflow, capsys, monkeypatch, command):
+    report_dir = trained_workflow / "mutant" / "a-file"
+    report_dir.parent.mkdir(exist_ok=True)
+    report_dir.write_text("kept\n", encoding="utf-8")
+    monkeypatch.setattr("lexlink.cli.load_knowledge_base", lambda path: pytest.fail(f"{command} read {path}"))
+    capsys.readouterr()
+    assert main([command, *workflow_flags(trained_workflow), "--report-dir", str(report_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: [Errno 17] File exists: '{report_dir}'\n"
+    assert out == ""
+    assert report_dir.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("command,report", [("evaluate", "accuracy.json"), ("ablate", "ablation.json")])
+def test_a_report_path_that_is_a_directory_exits_1_before_any_report_is_written(
+    trained_workflow, capsys, monkeypatch, command, report
+):
+    report_dir = trained_workflow / "mutant" / f"{command}-reports"
+    (report_dir / report).mkdir(parents=True, exist_ok=True)
+    monkeypatch.setattr("lexlink.cli.load_knowledge_base", lambda path: pytest.fail(f"{command} read {path}"))
+    capsys.readouterr()
+    assert main([command, *workflow_flags(trained_workflow), "--report-dir", str(report_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: [Errno 21] Is a directory: '{report_dir / report}'\n"
+    assert out == ""
+    assert [path.name for path in report_dir.iterdir()] == [report]
 
 
 def ids_as_lists(header):

@@ -89,7 +89,7 @@ def test_ablate_ranks_descriptions_once_per_distinct_cand1(pipeline, surface, ra
         return rank(*args)
 
     pipeline.retriever.retrieve_fine = counting_rank
-    views = pipeline.ablate(record, TOGGLES)
+    views = pipeline.ablate(record)
     assert calls == rankings
     assert views == [pipeline.link(record, frozenset(disabled)) for disabled in [(), *((t,) for t in TOGGLES)]]
 
@@ -164,9 +164,9 @@ def test_link_tokenizes_the_document_once_unless_the_span_cuts_a_run(monkeypatch
 @pytest.mark.parametrize("surface", ["Banana", "Apple"])
 def test_ablate_tokenizes_the_document_only_in_its_link(monkeypatch, pipeline, surface):
     record = mention(f"the {surface} grows on a tree", surface)
-    want = pipeline.ablate(record, TOGGLES)  # fills the description memo
+    want = pipeline.ablate(record)  # fills the description memo
     lengths = count_tokenized_chars(monkeypatch)
-    assert pipeline.ablate(record, TOGGLES) == want
+    assert pipeline.ablate(record) == want
     # The mention once for the coarse stage, then the text around the span.
     assert len(lengths) == 4
     assert sum(lengths) == len(record.mention) + len(record.text)

@@ -477,7 +477,7 @@ def test_load_rejects_wrong_format_tag(tmp_path, retriever):
     ):
         with pytest.raises(ArtifactFormatError) as info:
             Retriever.load(*paths)
-        assert str(info.value) == f"{culprit}: expected format {expected!r}, got {got!r}"
+        assert str(info.value) == f"{culprit}: expected format {expected!r}, got {got!r}; rerun build-index"
 
 
 def test_load_scores_with_the_configured_bm25_params(tmp_path):
