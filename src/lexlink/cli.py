@@ -43,8 +43,16 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _refuse_directory(*paths) -> None:
-    """Fail as writing to a directory would, before any work is done."""
+    """Fail as making each path's parent directory (a file at or above it) or
+    writing to the path (a directory) would, before any work is done."""
     for path in paths:
+        parent = Path(path).parent
+        for above in (parent, *parent.parents):
+            if os.path.exists(above):
+                if not os.path.isdir(above):
+                    code = errno.EEXIST if above == parent else errno.ENOTDIR
+                    raise OSError(code, os.strerror(code), str(parent))
+                break
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
@@ -52,8 +60,6 @@ def _refuse_directory(*paths) -> None:
 def _refuse_report_dir(path, *names) -> None:
     """Fail as making the report directory or writing ``names`` into it would,
     before any work is done."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
     _refuse_directory(*(Path(path) / name for name in names))
 
 
@@ -155,12 +161,7 @@ def _prediction_line(lm: LinkedMention) -> str:
             "decided_by": lm.prediction.decided_by if lm.prediction else None,
             "cand1": lm.retrieval.cand1,
             "cand2": lm.retrieval.cand2,
-            "votes": {
-                "at": lm.votes.at,
-                "kb": lm.votes.kb,
-                "desc": lm.votes.desc,
-                "reranker": lm.votes.reranker,
-            },
+            "votes": lm.votes._asdict(),
         },
         ensure_ascii=False,
     ) + "\n"

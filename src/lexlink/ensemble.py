@@ -8,22 +8,19 @@ absence carries no entity hypothesis.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoVotes
 
 
-@dataclass(frozen=True)
-class VoteInput:
+class VoteInput(NamedTuple):
     at: str | None = None
     kb: str | None = None
     desc: str | None = None
     reranker: str | None = None
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     entity_id: str
     decided_by: str  # majority | pair_with_reranker | reranker_fallback | only_available
 
@@ -36,21 +33,30 @@ def vote(v: VoteInput) -> Prediction:
     2. A 2:2 split goes to the side containing the reranker's vote.
     3. All-distinct votes fall back to the reranker, or to the first present
        retriever vote (at, kb, desc) when the reranker abstained.
+
+    >>> vote(VoteInput(at="Q1", kb="Q1", desc="Q2", reranker="Q3"))
+    Prediction(entity_id='Q1', decided_by='majority')
+    >>> vote(VoteInput(at="Q1", kb="Q2", desc="Q2", reranker="Q1"))
+    Prediction(entity_id='Q1', decided_by='pair_with_reranker')
+    >>> vote(VoteInput(at="Q1", kb="Q2", desc="Q3", reranker="Q4"))
+    Prediction(entity_id='Q4', decided_by='reranker_fallback')
+    >>> vote(VoteInput(kb="Q2", desc="Q3"))
+    Prediction(entity_id='Q2', decided_by='only_available')
     """
-    present = [x for x in (v.at, v.kb, v.desc, v.reranker) if x is not None]
-    if not present:
-        raise NoVotes("all four votes are absent")
-    ranked = Counter(present).most_common()
-    top_value, top_count = ranked[0]
-    if top_count >= 2 and (len(ranked) == 1 or ranked[1][1] < top_count):
-        return Prediction(entity_id=top_value, decided_by="majority")
-    if top_count == 2:
-        # Two values at multiplicity 2 means all four voted; the reranker is
-        # on one side by construction.
-        return Prediction(entity_id=v.reranker, decided_by="pair_with_reranker")
-    if v.reranker is not None:
-        return Prediction(entity_id=v.reranker, decided_by="reranker_fallback")
-    for value in (v.at, v.kb, v.desc):
+    counts: dict[str, int] = {}
+    top_count = 0
+    for value in v:
         if value is not None:
-            return Prediction(entity_id=value, decided_by="only_available")
-    raise AssertionError("unreachable: present votes were nonempty")
+            count = counts[value] = counts.get(value, 0) + 1
+            if count > top_count:
+                top_value, top_count = value, count
+    if not counts:
+        raise NoVotes("all four votes are absent")
+    if top_count == 2 and len(counts) == 2 and None not in v:
+        # All four voted, two for each value; the reranker is on one side.
+        return Prediction(v.reranker, "pair_with_reranker")
+    if top_count >= 2:
+        return Prediction(top_value, "majority")
+    if v.reranker is not None:
+        return Prediction(v.reranker, "reranker_fallback")
+    return Prediction(next(value for value in v if value is not None), "only_available")

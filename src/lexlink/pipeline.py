@@ -15,17 +15,20 @@ from .tokenizer import TokenStream, tokenize_around
 
 # Pipeline pieces that ablations may disable.
 TOGGLES = ("ensemble", "at_bm25", "kb_bm25", "desc_bm25")
+_KNOWN_TOGGLES = frozenset(TOGGLES)
 
 # decided_by label used when the ensemble is disabled and the reranker's
 # top-1 is taken directly.
 RERANKER_ONLY = "reranker_only"
 
+_NO_VOTES = VoteInput()
+
 
 def check_toggles(toggles) -> None:
     """Raise ``InvalidConfig`` naming any toggle outside ``TOGGLES``."""
-    unknown = set(toggles).difference(TOGGLES)
-    if unknown:
-        raise InvalidConfig(f"unknown toggles: {sorted(unknown)}; valid: {list(TOGGLES)}")
+    if not _KNOWN_TOGGLES.issuperset(toggles):
+        unknown = sorted(set(toggles).difference(TOGGLES))
+        raise InvalidConfig(f"unknown toggles: {unknown}; valid: {list(TOGGLES)}")
 
 
 @dataclass
@@ -68,7 +71,8 @@ class Pipeline:
         the row's Cand1 differs from the full one, with the link's document
         tokens. The reranker's scores depend only on the mention and the
         entity and it ranks by ``(-score, entity_id)``, so the full ranking
-        filtered to a smaller pool is that pool's ranking.
+        filtered to a smaller pool is that pool's ranking. A row whose Cand1
+        equals the full one shares the link's ranking list.
         """
         lm = self.link(m)
         views = [lm]
@@ -79,8 +83,11 @@ class Pipeline:
                 if toggle == "ensemble"
                 else self.retriever.retrieve(self.kb, m, disabled, full=lm.retrieval, doc_tokens=lm.doc_tokens)
             )
-            pool = set(result.cand1)
-            reranked = [pair for pair in lm.reranked if pair[0] in pool]
+            if result.cand1 == lm.retrieval.cand1:
+                reranked = lm.reranked
+            else:
+                pool = set(result.cand1)
+                reranked = [pair for pair in lm.reranked if pair[0] in pool]
             views.append(_decide(m, result, reranked, disabled))
         return views
 
@@ -98,28 +105,11 @@ def _decide(
     """Vote over the stage heads, or take the reranker's top-1 directly when
     ``ensemble`` is disabled."""
     top_reranked = reranked[0][0] if reranked else None
-    votes = VoteInput(
-        at=result.top1_at,
-        kb=result.top1_kb,
-        desc=result.top1_desc,
-        reranker=top_reranked,
-    )
+    votes = VoteInput(result.top1_at, result.top1_kb, result.top1_desc, top_reranked)
     if "ensemble" in disabled:
-        prediction = (
-            Prediction(entity_id=top_reranked, decided_by=RERANKER_ONLY)
-            if top_reranked is not None
-            else None
-        )
-    elif votes == VoteInput():
+        prediction = Prediction(top_reranked, RERANKER_ONLY) if top_reranked is not None else None
+    elif votes == _NO_VOTES:
         prediction = None
     else:
         prediction = vote(votes)
-    return LinkedMention(
-        doc_id=m.doc_id,
-        gold_id=m.gold_id,
-        retrieval=result,
-        votes=votes,
-        reranked=reranked,
-        prediction=prediction,
-        doc_tokens=doc_tokens,
-    )
+    return LinkedMention(m.doc_id, m.gold_id, result, votes, reranked, prediction, doc_tokens)

@@ -16,6 +16,7 @@ import functools
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from .artifacts import decoding, read_container, write_container
 from .bm25 import Bm25Index, Bm25Params, TermCounts, rank_term_counts
@@ -52,8 +53,7 @@ class RetrieverConfig:
                 raise InvalidConfig(f"{name} must be in [1, {sys.maxsize}]")
 
 
-@dataclass(frozen=True)
-class RetrievalResult:
+class RetrievalResult(NamedTuple):
     cand_at: CandidateSet
     cand_kb: CandidateSet
     cand1: CandidateSet

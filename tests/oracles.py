@@ -4,10 +4,10 @@ These deliberately avoid the library's fast paths: BM25 evaluates the scoring
 formula term by term over raw token lists, the coarse lists are gathered one
 entity at a time into a seen set, the tokenizer classifies text one character
 at a time, the mention window drops one context token per step, the
-featurizer hashes every n-gram of every token, the ablation links the whole
-dataset once per row, a knowledge-base line is written by ``json.dumps``, and
-a training step stacks every sequence's embedding gradient rows before
-summing them.
+featurizer hashes every n-gram of every token, the vote ranks the present
+votes with ``Counter.most_common``, the ablation links the whole dataset once
+per row, a knowledge-base line is written by ``json.dumps``, and a training
+step stacks every sequence's embedding gradient rows before summing them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from collections import Counter
 import numpy as np
 
 from lexlink.corpus import Dataset, EntityRecord, MentionRecord
-from lexlink.ensemble import Prediction, VoteInput, vote
+from lexlink.ensemble import Prediction, VoteInput
+from lexlink.errors import NoVotes
 from lexlink.evaluation import ABLATION_LABELS, AccuracyReport, accuracy
 from lexlink.pipeline import RERANKER_ONLY, TOGGLES, LinkedMention, Pipeline
 from lexlink.reranker import (
@@ -202,6 +203,34 @@ def sequence_features(seq: MarkedSequence, cfg: EncoderConfig) -> SequenceFeatur
         counts=np.array(list(counter.values()), dtype=np.float64),
         token_count=max(len(seq.tokens), 1),
     )
+
+
+def vote(v: VoteInput) -> Prediction:
+    """Resolve the four votes.
+
+    1. A value with strictly greater multiplicity than every other, at least
+       2, wins (covers 4:0, 3:1, 2:1, 2:1:1).
+    2. A 2:2 split goes to the side containing the reranker's vote.
+    3. All-distinct votes fall back to the reranker, or to the first present
+       retriever vote (at, kb, desc) when the reranker abstained.
+    """
+    present = [x for x in (v.at, v.kb, v.desc, v.reranker) if x is not None]
+    if not present:
+        raise NoVotes("all four votes are absent")
+    ranked = Counter(present).most_common()
+    top_value, top_count = ranked[0]
+    if top_count >= 2 and (len(ranked) == 1 or ranked[1][1] < top_count):
+        return Prediction(entity_id=top_value, decided_by="majority")
+    if top_count == 2:
+        # Two values at multiplicity 2 means all four voted; the reranker is
+        # on one side by construction.
+        return Prediction(entity_id=v.reranker, decided_by="pair_with_reranker")
+    if v.reranker is not None:
+        return Prediction(entity_id=v.reranker, decided_by="reranker_fallback")
+    for value in (v.at, v.kb, v.desc):
+        if value is not None:
+            return Prediction(entity_id=value, decided_by="only_available")
+    raise AssertionError("unreachable: present votes were nonempty")
 
 
 def link(pipeline: Pipeline, m: MentionRecord, disabled: frozenset[str] = frozenset()) -> LinkedMention:

@@ -562,6 +562,33 @@ def test_a_report_dir_that_is_a_file_exits_1_before_any_work(trained_workflow, c
     assert report_dir.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("below", ["out", "deeper/out"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("train", "--model"), ("embed-entities", "--store"), ("build-index", "--at-index"),
+        ("build-index", "--kb-index"), ("predict", "--predictions"), ("evaluate", "--report-dir"),
+        ("ablate", "--report-dir"),
+    ],
+)
+def test_an_output_path_under_a_file_exits_1_before_any_work(trained_workflow, capsys, monkeypatch, command, flag, below):
+    a_file = trained_workflow / "mutant" / "a-file-above"
+    a_file.parent.mkdir(exist_ok=True)
+    a_file.write_text("kept\n", encoding="utf-8")
+    path = a_file / below
+    # The error the command met once its work was done: making the report
+    # directory, or the output file's parent.
+    with pytest.raises(OSError) as late:
+        (path if flag == "--report-dir" else path.parent).mkdir(parents=True, exist_ok=True)
+    monkeypatch.setattr("lexlink.cli.load_knowledge_base", lambda kb: pytest.fail(f"{command} read {kb}"))
+    capsys.readouterr()
+    assert main([command, *workflow_flags(trained_workflow), flag, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {late.value}\n"
+    assert out == ""
+    assert a_file.read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize("command,report", [("evaluate", "accuracy.json"), ("ablate", "ablation.json")])
 def test_a_report_path_that_is_a_directory_exits_1_before_any_report_is_written(
     trained_workflow, capsys, monkeypatch, command, report

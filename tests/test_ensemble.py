@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from lexlink.ensemble import Prediction, VoteInput, vote
 from lexlink.errors import NoVotes
 
@@ -80,6 +81,18 @@ def test_exhaustive_over_all_625_inputs():
         assert (prediction.entity_id, prediction.decided_by) == expected, v
         checked += 1
     assert checked == 5**4 - 1
+
+
+def test_vote_equals_the_counter_vote_on_all_625_inputs():
+    for values in itertools.product(SYMBOLS, repeat=4):
+        v = VoteInput(*values)
+        if values == (None,) * 4:
+            with pytest.raises(NoVotes):
+                vote(v)
+            continue
+        prediction, expected = vote(v), oracles.vote(v)
+        assert type(prediction) is Prediction
+        assert (prediction.entity_id, prediction.decided_by) == (expected.entity_id, expected.decided_by), v
 
 
 def test_decided_by_matches_multiset_shape():

@@ -9,14 +9,18 @@ arguments the drivers pass.
 import inspect
 from dataclasses import fields
 
+import pytest
+
 from lexlink import reranker
 from lexlink.bm25 import Bm25Index
+from lexlink.ensemble import Prediction, VoteInput
 from lexlink.pipeline import LinkedMention, Pipeline
 from lexlink.reranker import EntityEmbeddingStore, build_mention_sequence, encode, score_pair, sequence_features
 from lexlink.retriever import RetrievalResult, Retriever, merge_coarse
 
 SELF = object()
 RESULT_FIELDS = ("cand_at", "cand_kb", "cand1", "cand2", "top1_at", "top1_kb", "top1_desc")
+VOTE_FIELDS = ("at", "kb", "desc", "reranker")
 # The fields the traced driver fills, and ``==`` compares with a plain link's.
 LINKED_FIELDS = ("doc_id", "gold_id", "retrieval", "votes", "reranked", "prediction")
 
@@ -30,6 +34,7 @@ CALLS = [
     (Retriever.save, (SELF, "at_index", "kb_index"), {}),
     (merge_coarse, (["a"], ["b"]), {}),
     (RetrievalResult, (), dict.fromkeys(RESULT_FIELDS)),
+    (VoteInput, (), dict.fromkeys(VOTE_FIELDS)),
     (LinkedMention, (), dict.fromkeys(LINKED_FIELDS)),
     (EntityEmbeddingStore.row, (SELF, "entity_id"), {}),
     (build_mention_sequence, ("record", "cfg"), {}),
@@ -47,3 +52,23 @@ def test_the_calls_the_benchmark_drivers_make_still_bind():
     assert isinstance(Bm25Index.build([["a"], ["a", "b"]]).postings, dict)
     assert {"build_training_examples", "batch_loss_and_grads", "dataset_loss"} <= set(reranker.train.__code__.co_names)
     assert tuple(f.name for f in fields(LinkedMention) if f.compare) == LINKED_FIELDS
+
+
+@pytest.mark.parametrize(
+    "kind,values",
+    [
+        (VoteInput, {"at": "Q1", "kb": "Q1", "desc": None, "reranker": "Q2"}),
+        (Prediction, {"entity_id": "Q1", "decided_by": "majority"}),
+        (RetrievalResult, {"cand_at": ["Q1"], "cand_kb": ["Q2"], "cand1": ["Q1", "Q2"], "cand2": ["Q2"],
+                           "top1_at": "Q1", "top1_kb": "Q2", "top1_desc": "Q2"}),
+    ],
+    ids=["VoteInput", "Prediction", "RetrievalResult"],
+)
+def test_the_result_and_vote_types_are_immutable_tuples_bound_by_keyword(kind, values):
+    value = kind(**values)
+    assert value == kind(*values.values()) == tuple(values.values())
+    assert {name: getattr(value, name) for name in values} == values
+    assert repr(value) == f"{kind.__name__}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
+    for name in (*values, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
