@@ -42,29 +42,15 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return load_config(path, overrides)
 
 
-def _refuse_directory(*paths) -> None:
-    """Fail as making each path's parent directory (a file at or above it) or
-    writing to the path (a directory) would, before any work is done."""
-    for path in paths:
-        parent = Path(path).parent
-        for above in (parent, *parent.parents):
-            if os.path.exists(above):
-                if not os.path.isdir(above):
-                    code = errno.EEXIST if above == parent else errno.ENOTDIR
-                    raise OSError(code, os.strerror(code), str(parent))
-                break
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-
-
-def _refuse_report_dir(path, *names) -> None:
-    """Fail as making the report directory or writing ``names`` into it would,
-    before any work is done."""
-    _refuse_directory(*(Path(path) / name for name in names))
-
-
-def _ensure_parent(path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+def _prepare_outputs(*paths) -> None:
+    """Make each output path's parent directory, and refuse an empty path or
+    one that is a directory, before any input is read. A run that fails later
+    leaves the directories made here, but no new or changed output file."""
+    for path in map(str, paths):
+        if not path or os.path.isdir(path):
+            code = errno.EISDIR if path else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _load_retriever(cfg: PipelineConfig, kb: KnowledgeBase) -> Retriever:
@@ -110,12 +96,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_build_index(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _refuse_directory(cfg.at_index, cfg.kb_index)
+    _prepare_outputs(cfg.at_index, cfg.kb_index)
     kb = load_knowledge_base(cfg.kb)
     aliases = load_alias_table(cfg.aliases)
     retriever = Retriever.build(kb, aliases, cfg.retriever_config())
-    _ensure_parent(cfg.at_index)
-    _ensure_parent(cfg.kb_index)
     retriever.save(cfg.at_index, cfg.kb_index)
     print(f"at_index: {retriever.at_index.doc_count} docs -> {cfg.at_index}")
     print(f"kb_index: {retriever.kb_index.doc_count} docs -> {cfg.kb_index}")
@@ -124,12 +108,11 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _refuse_directory(cfg.model)
+    _prepare_outputs(cfg.model)
     kb = load_knowledge_base(cfg.kb)
     dataset = load_mentions(cfg.train_mentions, split="train")
     retriever = _load_retriever(cfg, kb)
     model, stats = train(dataset, kb, retriever, cfg.train_config(), cfg.encoder_config())
-    _ensure_parent(cfg.model)
     model.save(cfg.model)
     print(f"trained on {stats.examples} records for {stats.epochs} epoch(s)")
     print(f"initial loss {stats.initial_loss:.6f} final loss {stats.final_loss:.6f}")
@@ -139,7 +122,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_embed_entities(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _refuse_directory(cfg.store)
+    _prepare_outputs(cfg.store)
     kb = load_knowledge_base(cfg.kb)
     model = DualEncoder.load(cfg.model)
     store = precompute_entity_embeddings(model, kb)
@@ -147,7 +130,6 @@ def cmd_embed_entities(args: argparse.Namespace) -> int:
         raise ArtifactFormatError(
             f"{cfg.model}: entity encoder arrays do not match the digest in its header; rerun train"
         )
-    _ensure_parent(cfg.store)
     store.save(cfg.store)
     print(f"entity store: {store.matrix.shape[0]} rows -> {cfg.store}")
     return 0
@@ -169,12 +151,11 @@ def _prediction_line(lm: LinkedMention) -> str:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _refuse_directory(cfg.predictions)
+    _prepare_outputs(cfg.predictions)
     pipeline = _load_pipeline(cfg)
     mentions_path = args.mentions_path or cfg.eval_mentions
     dataset = load_mentions(mentions_path)
     linked = pipeline.link_dataset(dataset)
-    _ensure_parent(cfg.predictions)
     with open(cfg.predictions, "w", encoding="utf-8") as fh:
         for lm in linked:
             fh.write(_prediction_line(lm))
@@ -184,12 +165,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _refuse_report_dir(cfg.report_dir, "recall.txt", "recall.json", "accuracy.txt", "accuracy.json")
+    out = Path(cfg.report_dir)
+    _prepare_outputs(*(out / name for name in ("recall.txt", "recall.json", "accuracy.txt", "accuracy.json")))
     pipeline = _load_pipeline(cfg)
     dataset = load_mentions(cfg.eval_mentions)
     recall, acc, _ = evaluate_dataset(pipeline, dataset)
-    out = Path(cfg.report_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "recall.txt").write_text(recall.to_text(), encoding="utf-8")
     write_json_report(recall.to_json_objects(), out / "recall.json")
     accuracy_text = accuracy_table_text([acc])
@@ -203,12 +183,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _refuse_report_dir(cfg.report_dir, "ablation.txt", "ablation.json")
+    out = Path(cfg.report_dir)
+    _prepare_outputs(out / "ablation.txt", out / "ablation.json")
     pipeline = _load_pipeline(cfg)
     dataset = load_mentions(cfg.eval_mentions)
     reports = run_ablation(pipeline, dataset)
-    out = Path(cfg.report_dir)
-    out.mkdir(parents=True, exist_ok=True)
     table = accuracy_table_text(reports)
     (out / "ablation.txt").write_text(table, encoding="utf-8")
     write_json_report([r.to_json_object() for r in reports], out / "ablation.json")

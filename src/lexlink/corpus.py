@@ -168,6 +168,18 @@ def load_knowledge_base(path) -> KnowledgeBase:
     return KnowledgeBase(entities)
 
 
+def alias_prior(value) -> float:
+    """``value`` as an alias prior: a JSON number, not a boolean, in [0, 1].
+    Raises ``TypeError`` for any other value and ``ValueError`` for a number
+    outside the range, which is tested before converting, so an integer too
+    large for a float is refused rather than overflowing."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"prior {value!r} is not a number")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"prior {value!r} is not in [0, 1]")
+    return float(value)
+
+
 def load_alias_table(path) -> AliasTable:
     """Load ``{"alias", "entity_id", "prior"}`` lines."""
     entries = []
@@ -175,11 +187,12 @@ def load_alias_table(path) -> AliasTable:
         alias = _require_str(obj, "alias", path, line_no)
         entity_id = _require_str(obj, "entity_id", path, line_no)
         prior = _require(obj, "prior", path, line_no)
-        if not isinstance(prior, (int, float)) or isinstance(prior, bool):
-            raise MalformedLine(path, line_no, "key 'prior' is not a number")
-        prior = float(prior)
-        if not 0.0 <= prior <= 1.0:
-            raise PriorOutOfRange(path, line_no, prior)
+        try:
+            prior = alias_prior(prior)
+        except TypeError:
+            raise MalformedLine(path, line_no, "key 'prior' is not a number") from None
+        except ValueError:
+            raise PriorOutOfRange(path, line_no, prior) from None
         entries.append(AliasEntry(alias=alias, entity_id=entity_id, prior=prior))
     return AliasTable(entries)
 
@@ -282,18 +295,8 @@ def validate(kb: KnowledgeBase, at: AliasTable, ds: Dataset) -> ValidationReport
     alias misses and training refuses gold misses (``MissingGold``) where they
     use them.
     """
-    misses: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for entry in at.entries:
-        key = ("alias", entry.entity_id)
-        if entry.entity_id not in kb and key not in seen:
-            seen.add(key)
-            misses.append(key)
-    for record in ds.records:
-        if record.gold_id is None:
-            continue
-        key = ("gold", record.gold_id)
-        if record.gold_id not in kb and key not in seen:
-            seen.add(key)
-            misses.append(key)
-    return ValidationReport(misses=misses)
+    misses = dict.fromkeys(
+        [("alias", entry.entity_id) for entry in at.entries if entry.entity_id not in kb]
+        + [("gold", r.gold_id) for r in ds.records if r.gold_id is not None and r.gold_id not in kb]
+    )
+    return ValidationReport(misses=list(misses))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import zlib
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Sequence
@@ -75,6 +76,9 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "hash_buckets", "max_len", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "ngram_orders", tuple(_integer("an ngram_orders entry", n) for n in self.ngram_orders))
         if self.dim < 1:
             raise InvalidConfig("dim must be >= 1")
         if self.hash_buckets < 1:
@@ -90,7 +94,14 @@ class EncoderConfig:
             raise InvalidConfig("ngram_orders must be non-empty positive integers")
         if self.seed < 0:  # numpy's seed sequences take no negative entropy
             raise InvalidConfig("seed must be >= 0")
-        object.__setattr__(self, "ngram_orders", tuple(self.ngram_orders))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``. A model header is JSON, so a float or a boolean
+    may reach a field that must be an integer; both are refused."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)

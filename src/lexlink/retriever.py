@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .artifacts import decoding, read_container, write_container
 from .bm25 import Bm25Index, Bm25Params, TermCounts, rank_term_counts
-from .corpus import AliasEntry, AliasTable, KnowledgeBase, MentionRecord
+from .corpus import AliasEntry, AliasTable, KnowledgeBase, MentionRecord, alias_prior
 from .errors import DataError, InvalidConfig
 from .tokenizer import TokenStream, tokenize
 
@@ -185,7 +185,7 @@ class Retriever:
         # knowledge base, and must not reach the sets that hold candidates.
         with decoding(at_path):
             alias_table = AliasTable(
-                AliasEntry(alias=str(e["alias"]), entity_id=str(e["entity_id"]), prior=_stored_prior(e["prior"]))
+                AliasEntry(alias=str(e["alias"]), entity_id=str(e["entity_id"]), prior=alias_prior(e["prior"]))
                 for e in at_meta["entries"]
             )
         with decoding(kb_path):
@@ -195,14 +195,6 @@ class Retriever:
             return cls(alias_table, kb_rows, config)
         except DataError as exc:
             raise DataError(f"{at_path} does not match {kb_path}: {exc}; rerun build-index") from None
-
-
-def _stored_prior(value) -> float:
-    """The rule ``load_alias_table`` applies: a JSON number, not a boolean, in
-    [0, 1]."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"prior {value!r} is not a number in [0, 1]")
-    return float(value)
 
 
 @functools.lru_cache(maxsize=DESCRIPTION_COUNTS_MEMO_SIZE)

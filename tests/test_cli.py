@@ -452,6 +452,7 @@ def previous_index_layout(header):
         pytest.param("--model", removing(("arrays",)), id="model-without-arrays"),
         pytest.param("--model", lambda header: [header], id="model-header-is-a-list"),
         pytest.param("--model", setting(("meta", "encoder_config", "dim"), 0), id="dim-0"),
+        pytest.param("--model", setting(("meta", "encoder_config", "ngram_orders"), [1.5, 2, 3]), id="float-ngram-order"),
         pytest.param("--model", removing(("meta", "encoder_config", "ngram_orders")), id="config-without-ngram-orders"),
         pytest.param("--model", setting(("arrays", 0, "shape"), [-2048, 16]), id="negative-shape"),
         pytest.param("--model", setting(("meta", "encoder_config", "hash_buckets"), 4096), id="more-buckets-than-rows"),
@@ -548,6 +549,25 @@ def test_a_directory_output_path_exits_1_before_any_work(trained_workflow, capsy
     assert list(directory.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("train", "--model"), ("embed-entities", "--store"), ("build-index", "--at-index"),
+        ("build-index", "--kb-index"), ("predict", "--predictions"),
+    ],
+)
+def test_an_empty_output_path_exits_1_before_any_work(trained_workflow, capsys, monkeypatch, command, flag):
+    def work_begun(path):
+        raise AssertionError(f"{command} read {path} before refusing its output path")
+
+    monkeypatch.setattr("lexlink.cli.load_knowledge_base", work_begun)
+    capsys.readouterr()
+    assert main([command, *workflow_flags(trained_workflow), flag, ""]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["evaluate", "ablate"])
 def test_a_report_dir_that_is_a_file_exits_1_before_any_work(trained_workflow, capsys, monkeypatch, command):
     report_dir = trained_workflow / "mutant" / "a-file"
@@ -602,6 +622,31 @@ def test_a_report_path_that_is_a_directory_exits_1_before_any_report_is_written(
     assert err == f"error: [Errno 21] Is a directory: '{report_dir / report}'\n"
     assert out == ""
     assert [path.name for path in report_dir.iterdir()] == [report]
+
+
+@pytest.mark.parametrize(
+    "command,names",
+    [("predict", ["predictions.jsonl"]), ("evaluate", ["recall.txt", "recall.json", "accuracy.txt", "accuracy.json"])],
+    ids=["predict", "evaluate"],
+)
+def test_a_run_that_fails_after_preparing_its_outputs_keeps_the_old_files_and_the_new_directory(
+    trained_workflow, capsys, command, names
+):
+    root = trained_workflow / "mutant" / f"{command}-prepared"
+    old, new = root / "old", root / "new" / "deeper"
+    old.mkdir(parents=True, exist_ok=True)
+    kept = {old / name: f"old {name}\n".encode() for name in names}
+    for path, content in kept.items():
+        path.write_bytes(content)
+    bad_mentions = root / "bad.jsonl"
+    bad_mentions.write_text('{"doc_id": "d1"}\n', encoding="utf-8")
+    for out in (old, new):
+        output = ["--predictions", str(out / names[0])] if command == "predict" else ["--report-dir", str(out)]
+        capsys.readouterr()
+        assert main([command, *workflow_flags(trained_workflow), "--eval-mentions", str(bad_mentions), *output]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad_mentions}:1: malformed line")
+    assert {path: path.read_bytes() for path in old.iterdir()} == kept
+    assert list(new.iterdir()) == []
 
 
 def ids_as_lists(header):

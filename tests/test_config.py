@@ -20,6 +20,8 @@ REJECTED = {
     "hash_buckets_too_large": lambda: EncoderConfig(hash_buckets=10**15, dim=16),
     "dim_too_large": lambda: EncoderConfig(hash_buckets=1, dim=2**14),
     "max_len": lambda: EncoderConfig(max_len=7),
+    "max_len_float": lambda: EncoderConfig(max_len=128.0),
+    "ngram_orders_float": lambda: EncoderConfig(ngram_orders=(1.5,)),
     "ngram_orders": lambda: EncoderConfig(ngram_orders=(1, 0)),
     "encoder_seed": lambda: EncoderConfig(seed=-1),
     "batch_size": lambda: TrainConfig(batch_size=0),

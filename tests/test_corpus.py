@@ -106,9 +106,10 @@ def test_alias_equal_priors_tie_break_by_entity_id(tmp_path):
     assert [at.entries[p].entity_id for p in at.by_alias["X"]] == ["Q3", "Q9"]
 
 
-def test_alias_prior_out_of_range(tmp_path):
+@pytest.mark.parametrize("prior", [1.5, 10**400], ids=["1.5", "10**400"])
+def test_alias_prior_out_of_range(tmp_path, prior):
     path = tmp_path / "aliases.jsonl"
-    write_lines(path, [{"alias": "A", "entity_id": "Q1", "prior": 1.5}])
+    write_lines(path, [{"alias": "A", "entity_id": "Q1", "prior": prior}])
     with pytest.raises(PriorOutOfRange) as err:
         load_alias_table(path)
     assert err.value.line_no == 1
