@@ -53,6 +53,17 @@ def _prepare_outputs(*paths) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
+def _prepare_reports(report_dir: str, *names: str) -> Path:
+    """``_prepare_outputs`` for the report files ``names`` in ``report_dir``.
+    An empty directory is refused as an empty output path is, since
+    ``Path("")`` would put the reports in the working directory."""
+    if not report_dir:
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), report_dir)
+    out = Path(report_dir)
+    _prepare_outputs(*(out / name for name in names))
+    return out
+
+
 def _load_retriever(cfg: PipelineConfig, kb: KnowledgeBase) -> Retriever:
     """The stored retriever, refused unless its KB index holds the ``(id, name)``
     rows of ``kb`` in order. An edit to the alias file, which is not read, goes unnoticed."""
@@ -165,8 +176,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    out = Path(cfg.report_dir)
-    _prepare_outputs(*(out / name for name in ("recall.txt", "recall.json", "accuracy.txt", "accuracy.json")))
+    out = _prepare_reports(cfg.report_dir, "recall.txt", "recall.json", "accuracy.txt", "accuracy.json")
     pipeline = _load_pipeline(cfg)
     dataset = load_mentions(cfg.eval_mentions)
     recall, acc, _ = evaluate_dataset(pipeline, dataset)
@@ -183,8 +193,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    out = Path(cfg.report_dir)
-    _prepare_outputs(out / "ablation.txt", out / "ablation.json")
+    out = _prepare_reports(cfg.report_dir, "ablation.txt", "ablation.json")
     pipeline = _load_pipeline(cfg)
     dataset = load_mentions(cfg.eval_mentions)
     reports = run_ablation(pipeline, dataset)

@@ -44,7 +44,7 @@ from .errors import (
 from .retriever import CandidateSet, Retriever, merge_coarse
 from .tokenizer import TokenStream, tokenize
 
-MODEL_FORMAT_TAG = "lexlink.dual-encoder/2"
+MODEL_FORMAT_TAG = "lexlink.dual-encoder/3"
 STORE_FORMAT_TAG = "lexlink.entity-store/3"
 
 # Largest (hash_buckets + dim) * dim accepted: the float64 embedding table and
@@ -61,6 +61,10 @@ _MARKERS = frozenset((MENTION_START, MENTION_END, NAME_DESC_SEP))
 # Prefix for the span-tagged copies of in-span n-grams; cannot collide with
 # plain grams (no brackets in tokenizer output) or marker features.
 _IN_SPAN_PREFIX = "[IN]"
+
+# Doubles per chunk in which an encoder's seeded embedding table is drawn:
+# 64 KB, so that comparing a table with its draw holds no second table.
+EMBEDDING_DRAW_CELLS = 2**13
 
 # Entries of the token -> bucket ids memo; at ≈1 KB each it holds at most
 # ≈16 MB.
@@ -211,15 +215,64 @@ class EncoderParams:
     bias: np.ndarray  # (dim,)
 
 
-def _init_params(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
-    # Embedding rows uniform in [-1/sqrt(dim), 1/sqrt(dim)]; projection starts
-    # near the identity. The mention and entity tables are drawn from separate
-    # seed streams, so untrained scores carry no lexical signal.
+def _seeded_embedding(cfg: EncoderConfig, rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
+    """The initial embedding table ``rng`` draws, rows uniform in
+    [-1/sqrt(dim), 1/sqrt(dim)], as ``(first row, rows)`` chunks of a fixed
+    size, in order. ``Generator.uniform`` takes one double per cell from the
+    stream, so the chunks are bitwise the table one call would draw, and
+    ``rng`` is left where that call would leave it."""
     bound = 1.0 / math.sqrt(cfg.dim)
-    embedding = rng.uniform(-bound, bound, size=(cfg.hash_buckets, cfg.dim))
+    step = max(1, EMBEDDING_DRAW_CELLS // cfg.dim)
+    for lo in range(0, cfg.hash_buckets, step):
+        yield lo, rng.uniform(-bound, bound, size=(min(step, cfg.hash_buckets - lo), cfg.dim))
+
+
+def _seeded_table(cfg: EncoderConfig, rng: np.random.Generator) -> np.ndarray:
+    """The whole of ``_seeded_embedding``, filled in chunk by chunk."""
+    table = np.empty((cfg.hash_buckets, cfg.dim))
+    for lo, rows in _seeded_embedding(cfg, rng):
+        table[lo : lo + len(rows)] = rows
+    return table
+
+
+def _entity_stream(cfg: EncoderConfig) -> np.random.Generator:
+    return np.random.default_rng([cfg.seed, 1])
+
+
+def _init_params(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
+    # The projection starts near the identity. The mention and entity tables
+    # are drawn from separate seed streams, so untrained scores carry no
+    # lexical signal.
+    embedding = _seeded_table(cfg, rng)
     projection = np.eye(cfg.dim) + 1e-2 * rng.standard_normal((cfg.dim, cfg.dim))
     bias = np.zeros(cfg.dim)
     return EncoderParams(embedding=embedding, projection=projection, bias=bias)
+
+
+def _changed_rows(cfg: EncoderConfig, embedding: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of the entity table ``embedding`` whose
+    bits differ from its seeded draw, found one drawn chunk at a time."""
+    bits = embedding.view(np.uint64)
+    return np.concatenate([
+        lo + np.flatnonzero((rows.view(np.uint64) != bits[lo : lo + len(rows)]).any(axis=1))
+        for lo, rows in _seeded_embedding(cfg, _entity_stream(cfg))
+    ])
+
+
+@dataclass(frozen=True)
+class _StoredEntityParams:
+    """A loaded model's entity encoder as its file holds it: the projection,
+    the bias, and only the embedding rows training changed."""
+
+    indices: np.ndarray  # ascending
+    rows: np.ndarray  # (len(indices), dim)
+    projection: np.ndarray
+    bias: np.ndarray
+
+    def rebuild(self, cfg: EncoderConfig) -> EncoderParams:
+        embedding = _seeded_table(cfg, _entity_stream(cfg))
+        embedding[self.indices] = self.rows
+        return EncoderParams(embedding=embedding, projection=self.projection, bias=self.bias)
 
 
 def _pool(feats: SequenceFeatures, params: EncoderParams) -> np.ndarray:
@@ -242,21 +295,43 @@ def score_pair(y_m: np.ndarray, y_e: np.ndarray) -> float:
     return float(np.dot(y_m, y_e))
 
 
-@dataclass
 class DualEncoder:
-    mention_params: EncoderParams
-    entity_params: EncoderParams
-    cfg: EncoderConfig
-    train_seed: int | None = None
-    # The entity_encoder_digest recorded in the file the model was loaded
-    # from, so that a store can be checked without reading the entity arrays.
-    entity_digest: str | None = None
+    """The mention and entity encoders and their config.
+
+    A model loaded from a file keeps its entity encoder as the file stores
+    it until ``entity_params`` is first read, which draws the embedding table
+    from ``cfg.seed`` once and writes the stored rows over it: linking reads
+    the entity store, never the entity encoder, so only embedding entities
+    pays for the draw.
+    """
+
+    def __init__(
+        self,
+        mention_params: EncoderParams,
+        entity_params: EncoderParams | _StoredEntityParams,
+        cfg: EncoderConfig,
+        train_seed: int | None = None,
+        entity_digest: str | None = None,
+    ):
+        self.mention_params = mention_params
+        self._entity_params = entity_params
+        self.cfg = cfg
+        self.train_seed = train_seed
+        # The entity_encoder_digest recorded in the file the model was loaded
+        # from, so that a store can be checked without reading the entity arrays.
+        self.entity_digest = entity_digest
+
+    @property
+    def entity_params(self) -> EncoderParams:
+        if isinstance(self._entity_params, _StoredEntityParams):
+            self._entity_params = self._entity_params.rebuild(self.cfg)
+        return self._entity_params
 
     @classmethod
     def initialize(cls, cfg: EncoderConfig) -> "DualEncoder":
         return cls(
             mention_params=_init_params(cfg, np.random.default_rng([cfg.seed, 0])),
-            entity_params=_init_params(cfg, np.random.default_rng([cfg.seed, 1])),
+            entity_params=_init_params(cfg, _entity_stream(cfg)),
             cfg=cfg,
         )
 
@@ -269,20 +344,31 @@ class DualEncoder:
         return encode(build_entity_sequence(e, self.cfg), self.entity_params, self.cfg)
 
     def save(self, path) -> None:
+        """Write the mention encoder whole, and of the entity encoder the
+        projection, the bias and the embedding rows whose bits differ from
+        the table ``cfg.seed`` draws, with their indices in the header."""
+        entity = self.entity_params
+        indices = _changed_rows(self.cfg, entity.embedding)
         meta = {
             "encoder_config": asdict(self.cfg),
             "train_seed": self.train_seed,
             "entity_encoder_digest": entity_encoder_digest(self),
+            "entity_row_indices": indices.tolist(),
         }
         arrays = {
-            f"{side}.{name}": getattr(params, name)
-            for side, params in (("mention", self.mention_params), ("entity", self.entity_params))
-            for name in ("embedding", "projection", "bias")
+            "mention.embedding": self.mention_params.embedding,
+            "mention.projection": self.mention_params.projection,
+            "mention.bias": self.mention_params.bias,
+            "entity.projection": entity.projection,
+            "entity.bias": entity.bias,
+            "entity.embedding_rows": entity.embedding.take(indices, axis=0),
         }
         write_container(path, MODEL_FORMAT_TAG, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "DualEncoder":
+        """The model in ``path``. No array is read and nothing is drawn; the
+        entity embedding table is rebuilt when ``entity_params`` is first read."""
         meta, arrays = read_container(path, MODEL_FORMAT_TAG, rerun="train")
         with decoding(path):
             # Every field is required: a default would silently change features.
@@ -290,15 +376,32 @@ class DualEncoder:
             digest = meta["entity_encoder_digest"]
             if not isinstance(digest, str):
                 raise TypeError(f"entity_encoder_digest is {digest!r}, not a string")
-            shapes = {"embedding": (cfg.hash_buckets, cfg.dim), "projection": (cfg.dim, cfg.dim), "bias": (cfg.dim,)}
-            params = []
-            for side in ("mention", "entity"):
-                for name, shape in shapes.items():
-                    array = arrays[f"{side}.{name}"]
-                    if array.shape != shape:
-                        raise ValueError(f"array {side}.{name} has shape {array.shape}, expected {shape}")
-                params.append(EncoderParams(**{name: arrays[f"{side}.{name}"] for name in shapes}))
-            return cls(*params, cfg, train_seed=meta.get("train_seed"), entity_digest=digest)
+            indices = meta["entity_row_indices"]
+            if not isinstance(indices, list) or not all(type(index) is int for index in indices):
+                raise TypeError("entity_row_indices is not a list of integers")
+            if any(a >= b for a, b in zip(indices, indices[1:])):
+                raise ValueError("entity_row_indices are not strictly ascending")
+            if indices and not (indices[0] >= 0 and indices[-1] < cfg.hash_buckets):
+                raise ValueError(
+                    f"entity_row_indices run from {indices[0]} to {indices[-1]}, outside [0, {cfg.hash_buckets})"
+                )
+            shapes = {
+                "mention.embedding": (cfg.hash_buckets, cfg.dim),
+                "mention.projection": (cfg.dim, cfg.dim),
+                "mention.bias": (cfg.dim,),
+                "entity.projection": (cfg.dim, cfg.dim),
+                "entity.bias": (cfg.dim,),
+                "entity.embedding_rows": (len(indices), cfg.dim),
+            }
+            for name, shape in shapes.items():
+                if arrays[name].shape != shape:
+                    raise ValueError(f"array {name} has shape {arrays[name].shape}, expected {shape}")
+            mention = EncoderParams(*(arrays[f"mention.{name}"] for name in ("embedding", "projection", "bias")))
+            entity = _StoredEntityParams(
+                np.array(indices, dtype=np.intp), arrays["entity.embedding_rows"], arrays["entity.projection"],
+                arrays["entity.bias"],
+            )
+            return cls(mention, entity, cfg, train_seed=meta.get("train_seed"), entity_digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +418,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "negatives_per_example", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("learning_rate", "epochs", "batch_size", "negatives_per_example"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be finite and positive")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lexlink.cli import _resolve_config, build_parser, main
 from lexlink.config import ENV_CONFIG_VAR, PipelineConfig
+from lexlink.reranker import DualEncoder
 
 
 def split_mentions(data_dir: Path, train_count: int):
@@ -436,6 +437,18 @@ def previous_index_layout(header):
     return {**header, "format": "lexlink.at-index/2", "meta": {"index": index, **header["meta"]}}
 
 
+def editing_rows(edit):
+    """A header edit that replaces the model's list of stored entity-row
+    indices (at least two, of 2048 hash buckets) by ``edit`` of it."""
+    def apply(header):
+        rows = header["meta"]["entity_row_indices"]
+        assert len(rows) >= 2
+        header["meta"]["entity_row_indices"] = edit(rows)
+        return header
+
+    return apply
+
+
 @pytest.mark.parametrize(
     "flag,edit",
     [
@@ -458,6 +471,11 @@ def previous_index_layout(header):
         pytest.param("--model", setting(("meta", "encoder_config", "hash_buckets"), 4096), id="more-buckets-than-rows"),
         pytest.param("--model", removing(("meta", "entity_encoder_digest")), id="model-without-entity-digest"),
         pytest.param("--model", setting(("meta", "entity_encoder_digest"), 7), id="model-entity-digest-retyped"),
+        pytest.param("--model", editing_rows(lambda rows: [*rows[:-1], 2048]), id="row-index-past-hash-buckets"),
+        pytest.param("--model", editing_rows(lambda rows: [rows[0], *rows[:-1]]), id="repeated-row-index"),
+        pytest.param("--model", editing_rows(lambda rows: [rows[1], rows[0], *rows[2:]]), id="descending-row-indices"),
+        pytest.param("--model", editing_rows(lambda rows: [*rows[:-1], rows[-1] + 0.5]), id="non-integer-row-index"),
+        pytest.param("--model", editing_rows(lambda rows: rows[:-1]), id="one-row-index-too-few"),
         pytest.param("--store", setting(("arrays", 0, "name"), "vectors"), id="store-array-renamed"),
         pytest.param("--store", removing(("meta", "encoder_digest")), id="store-without-encoder-digest"),
         pytest.param("--store", setting(("meta", "encoder_digest"), 7), id="store-encoder-digest-retyped"),
@@ -482,15 +500,16 @@ def test_a_header_misaligned_by_one_byte_exits_2_naming_it(trained_workflow, fla
 
 
 def previous_model_layout(header):
-    """The ``lexlink.dual-encoder/1`` header: no entity digest, not padded."""
-    del header["meta"]["entity_encoder_digest"]
-    return {**header, "format": "lexlink.dual-encoder/1"}
+    """The ``lexlink.dual-encoder/2`` header: the entity embedding table is
+    stored whole, so no row indices."""
+    del header["meta"]["entity_row_indices"]
+    return {**header, "format": "lexlink.dual-encoder/2"}
 
 
 @pytest.mark.parametrize(
     "flag,edit,expected,command",
     [
-        ("--model", previous_model_layout, "lexlink.dual-encoder/2", "train"),
+        ("--model", previous_model_layout, "lexlink.dual-encoder/3", "train"),
         ("--store", setting(("format",), "lexlink.entity-store/2"), "lexlink.entity-store/3", "embed-entities"),
         ("--at-index", setting(("format",), "lexlink.at-index/2"), "lexlink.at-index/3", "build-index"),
         ("--kb-index", setting(("format",), "lexlink.kb-index/2"), "lexlink.kb-index/3", "build-index"),
@@ -510,10 +529,10 @@ def test_an_artifact_of_the_previous_layout_exits_2_naming_the_command_to_rerun(
 def test_embed_entities_refuses_a_model_whose_entity_arrays_differ_from_its_digest(trained_workflow, capsys):
     model = artifact_flags(trained_workflow)["--model"]
     header, payload = split_header(model)
-    entity_start = sum(8 * math.prod(entry["shape"]) for entry in header["arrays"][:3])
-    assert header["arrays"][3]["name"] == "entity.embedding"
+    rows_start = sum(8 * math.prod(entry["shape"]) for entry in header["arrays"][:5])
+    assert header["arrays"][5]["name"] == "entity.embedding_rows" and header["arrays"][5]["shape"][0] > 0
     flipped = bytearray(payload)
-    flipped[entity_start] ^= 0x01
+    flipped[rows_start] ^= 0x01
     mutant = trained_workflow / "mutant" / "flipped.lxc"
     mutant.parent.mkdir(exist_ok=True)
     mutant.write_bytes(with_header(header, bytes(flipped)))
@@ -524,6 +543,28 @@ def test_embed_entities_refuses_a_model_whose_entity_arrays_differ_from_its_dige
         f"error: {mutant}: entity encoder arrays do not match the digest in its header; rerun train\n"
     )
     assert not store.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "ablate"])
+def test_linking_commands_never_draw_the_entity_table(trained_workflow, capsys, monkeypatch, command):
+    out = trained_workflow / "mutant" / f"{command}-undrawn"
+    flags = [*workflow_flags(trained_workflow), "--predictions", str(out / "predictions.jsonl"), "--report-dir", str(out)]
+
+    def run():
+        capsys.readouterr()
+        assert main([command, *flags]) == 0
+        return capsys.readouterr(), {path.name: path.read_bytes() for path in out.iterdir()}
+
+    drawn = run()
+    assert drawn[1]
+
+    def draw(cfg, rng):
+        raise AssertionError("drew an embedding table")
+
+    monkeypatch.setattr("lexlink.reranker._seeded_embedding", draw)
+    with pytest.raises(AssertionError, match="drew an embedding table"):
+        DualEncoder.load(artifact_flags(trained_workflow)["--model"]).entity_params
+    assert run() == drawn
 
 
 @pytest.mark.parametrize(
@@ -553,7 +594,8 @@ def test_a_directory_output_path_exits_1_before_any_work(trained_workflow, capsy
     "command,flag",
     [
         ("train", "--model"), ("embed-entities", "--store"), ("build-index", "--at-index"),
-        ("build-index", "--kb-index"), ("predict", "--predictions"),
+        ("build-index", "--kb-index"), ("predict", "--predictions"), ("evaluate", "--report-dir"),
+        ("ablate", "--report-dir"),
     ],
 )
 def test_an_empty_output_path_exits_1_before_any_work(trained_workflow, capsys, monkeypatch, command, flag):

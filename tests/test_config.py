@@ -28,6 +28,11 @@ REJECTED = {
     "learning_rate_nan": lambda: TrainConfig(learning_rate=float("nan")),
     "learning_rate_inf": lambda: TrainConfig(learning_rate=float("inf")),
     "train_seed": lambda: TrainConfig(seed=-1),
+    "epochs_float": lambda: TrainConfig(epochs=1.5),
+    "epochs_bool": lambda: TrainConfig(epochs=True),
+    "batch_size_float": lambda: TrainConfig(batch_size=2.5),
+    "negatives_per_example_float": lambda: TrainConfig(negatives_per_example=2.5),
+    "train_seed_float": lambda: TrainConfig(seed=1.5),
     "ngram_orders_text": lambda: PipelineConfig(ngram_orders="1,x").encoder_config(),
     "toggle": lambda: check_toggles(["ensemble", "bogus"]),
 }

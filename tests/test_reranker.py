@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from functools import lru_cache
@@ -649,13 +650,18 @@ def test_rerank_order_invariant_under_positive_scaling():
 # -- model artifact ----------------------------------------------------------
 
 
-def test_model_save_load_round_trip(tmp_path):
+def trained_small_model():
     kb, at, ds = build_synthetic(SynthSpec(
         seed=3, n_entities=20, n_aliases=25, n_mentions=30, ambiguity_rate=0.2, tail_rate=0.2,
     ))
     retriever = Retriever.build(kb, at)
     ec = EncoderConfig(dim=16, hash_buckets=1024, max_len=64, seed=4)
     model, _ = train(Dataset(ds.records, split="train"), kb, retriever, TrainConfig(seed=4), ec)
+    return kb, ds, model
+
+
+def test_model_save_load_round_trip(tmp_path):
+    _, ds, model = trained_small_model()
     path = tmp_path / "model.lxc"
     model.save(path)
     reloaded = DualEncoder.load(path)
@@ -666,6 +672,53 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(reloaded.entity_params.projection, model.entity_params.projection)
     m = ds.records[0]
     assert np.array_equal(reloaded.encode_mention(m), model.encode_mention(m))
+
+
+def test_initial_tables_are_bitwise_one_uniform_draw_of_their_seed_stream():
+    cfg = EncoderConfig(dim=24, hash_buckets=1000, seed=9)  # the draw's chunks do not divide the table
+    model = DualEncoder.initialize(cfg)
+    bound = 1.0 / math.sqrt(cfg.dim)
+    for stream, params in enumerate((model.mention_params, model.entity_params)):
+        rng = np.random.default_rng([cfg.seed, stream])
+        assert params.embedding.tobytes() == rng.uniform(-bound, bound, size=(cfg.hash_buckets, cfg.dim)).tobytes()
+        projection = np.eye(cfg.dim) + 1e-2 * rng.standard_normal((cfg.dim, cfg.dim))
+        assert params.projection.tobytes() == projection.tobytes()
+
+
+def entity_arrays(model: DualEncoder) -> list[bytes]:
+    params = model.entity_params
+    return [array.tobytes() for array in (params.embedding, params.projection, params.bias)]
+
+
+@pytest.mark.parametrize("every_row", [False, True], ids=["trained", "every-entity-row-changed"])
+def test_a_saved_model_stores_only_its_changed_entity_rows_and_loads_bitwise(tmp_path, every_row):
+    kb, _, model = trained_small_model()
+    cfg = model.cfg
+    table = model.entity_params.embedding
+    if every_row:
+        table[:] = np.nextafter(table, np.inf)
+    start = DualEncoder.initialize(cfg).entity_params.embedding
+    changed = np.flatnonzero(np.any(table.view(np.uint64) != start.view(np.uint64), axis=1))
+    assert changed.size == cfg.hash_buckets if every_row else 0 < changed.size < cfg.hash_buckets
+    path = tmp_path / "model.lxc"
+    model.save(path)
+
+    head, _, _ = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    assert header["format"] == "lexlink.dual-encoder/3"
+    assert header["meta"]["entity_row_indices"] == changed.tolist()
+    mention_cells = cfg.hash_buckets * cfg.dim + cfg.dim * cfg.dim + cfg.dim
+    entity_cells = cfg.dim * cfg.dim + cfg.dim + changed.size * cfg.dim
+    assert path.stat().st_size == len(head) + 1 + 8 * (mention_cells + entity_cells)
+
+    loaded = DualEncoder.load(path)
+    assert entity_arrays(loaded) == entity_arrays(model)
+    assert loaded.entity_digest == entity_encoder_digest(loaded) == entity_encoder_digest(model)
+    stores = [precompute_entity_embeddings(m, kb) for m in (loaded, model)]
+    assert stores[0].matrix.tobytes() == stores[1].matrix.tobytes()
+    assert stores[0].encoder_digest == stores[1].encoder_digest
+    loaded.save(tmp_path / "again.lxc")
+    assert (tmp_path / "again.lxc").read_bytes() == path.read_bytes()
 
 
 def test_saving_a_model_copies_none_of_its_arrays(tmp_path):
@@ -682,7 +735,9 @@ def test_saving_a_model_copies_none_of_its_arrays(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.01 * array_bytes
-    assert (tmp_path / "model.lxc").stat().st_size > array_bytes
+    # An untrained entity table is stored as its seed alone.
+    stored_bytes = array_bytes - model.entity_params.embedding.nbytes
+    assert (tmp_path / "model.lxc").stat().st_size > stored_bytes
 
 
 def test_loading_a_model_reads_none_of_its_arrays(tmp_path):
