@@ -22,7 +22,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, config_real
 from .tokenizer import TokenStream
 
 
@@ -32,6 +32,8 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self):
+        for name in ("k1", "b"):
+            object.__setattr__(self, name, config_real(name, getattr(self, name)))
         if not 0 < self.k1 < math.inf:
             raise InvalidConfig(f"k1 must be finite and > 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:

@@ -91,8 +91,11 @@ class AliasTable:
         for pos, entry in enumerate(self.entries):
             buckets.setdefault(entry.alias, []).append(pos)
         for alias, positions in buckets.items():
-            positions.sort(key=lambda p: (-self.entries[p].prior, self.entries[p].entity_id))
-            total = sum(self.entries[p].prior for p in positions)
+            if len(positions) == 1:  # most aliases: nothing to order, and the sum is the one prior
+                total = self.entries[positions[0]].prior
+            else:
+                positions.sort(key=lambda p: (-self.entries[p].prior, self.entries[p].entity_id))
+                total = sum(self.entries[p].prior for p in positions)
             if total > 1.0 + _PRIOR_SUM_TOLERANCE:
                 raise PriorSumExceeded(alias, total)
         self.by_alias: dict[str, list[int]] = buckets

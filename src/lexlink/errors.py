@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the type rules of
+configuration values.
 
 Everything data-shaped derives from :class:`DataError` so the CLI can map it
 to exit code 2; plain I/O failures surface as ``OSError`` and map to exit
@@ -6,6 +7,9 @@ code 1.
 """
 
 from __future__ import annotations
+
+import numbers
+import operator
 
 
 class LexlinkError(Exception):
@@ -22,6 +26,25 @@ class InvalidConfig(DataError, ValueError):
 
     def __str__(self):
         return f"invalid configuration: {super().__str__()}"
+
+
+def config_integer(name: str, value) -> int:
+    """``value`` as an ``int``. A model header is JSON, so a float or a boolean
+    may reach a field that must be an integer; both are refused."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def config_real(name: str, value) -> float:
+    """``value`` as a ``float``. A boolean, a string or an integer too large
+    for a float is refused rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidConfig(f"{name} must be finite, got {value!r}") from None
 
 
 class MalformedLine(DataError):

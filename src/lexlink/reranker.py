@@ -21,15 +21,15 @@ configurations reproduce bitwise-identical parameters.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import operator
 import zlib
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .artifacts import decoding, read_container, write_container
+from .artifacts import RowChunks, decoding, read_container, write_container
 from .corpus import Dataset, EntityRecord, KnowledgeBase, MentionRecord
 from .errors import (
     DimensionMismatch,
@@ -40,6 +40,8 @@ from .errors import (
     NameTooLong,
     StaleStore,
     UnknownCandidate,
+    config_integer,
+    config_real,
 )
 from .retriever import CandidateSet, Retriever, merge_coarse
 from .tokenizer import TokenStream, tokenize
@@ -48,7 +50,8 @@ MODEL_FORMAT_TAG = "lexlink.dual-encoder/3"
 STORE_FORMAT_TAG = "lexlink.entity-store/3"
 
 # Largest (hash_buckets + dim) * dim accepted: the float64 embedding table and
-# projection of one of the model's two encoders, 1 GiB at this limit.
+# projection of one of the model's two encoders, 1 GiB at this limit. Training
+# and saving allocate no table; embedding entities draws the entity table.
 MAX_ENCODER_CELLS = 2**27
 
 # Reserved marker tokens. Real tokens are lowercase alphanumeric runs or CJK
@@ -62,8 +65,8 @@ _MARKERS = frozenset((MENTION_START, MENTION_END, NAME_DESC_SEP))
 # plain grams (no brackets in tokenizer output) or marker features.
 _IN_SPAN_PREFIX = "[IN]"
 
-# Doubles per chunk in which an encoder's seeded embedding table is drawn:
-# 64 KB, so that comparing a table with its draw holds no second table.
+# Doubles per chunk in which an encoder's seeded embedding table is drawn and
+# read: 64 KB, so that training, saving or digesting a model holds no table.
 EMBEDDING_DRAW_CELLS = 2**13
 
 # Entries of the token -> bucket ids memo; at ≈1 KB each it holds at most
@@ -81,8 +84,9 @@ class EncoderConfig:
 
     def __post_init__(self):
         for name in ("dim", "hash_buckets", "max_len", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "ngram_orders", tuple(_integer("an ngram_orders entry", n) for n in self.ngram_orders))
+            object.__setattr__(self, name, config_integer(name, getattr(self, name)))
+        orders = tuple(config_integer("an ngram_orders entry", n) for n in self.ngram_orders)
+        object.__setattr__(self, "ngram_orders", orders)
         if self.dim < 1:
             raise InvalidConfig("dim must be >= 1")
         if self.hash_buckets < 1:
@@ -98,14 +102,6 @@ class EncoderConfig:
             raise InvalidConfig("ngram_orders must be non-empty positive integers")
         if self.seed < 0:  # numpy's seed sequences take no negative entropy
             raise InvalidConfig("seed must be >= 0")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``. A model header is JSON, so a float or a boolean
-    may reach a field that must be an integer; both are refused."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -215,6 +211,17 @@ class EncoderParams:
     bias: np.ndarray  # (dim,)
 
 
+def _stream(cfg: EncoderConfig, encoder: int) -> np.random.Generator:
+    """The seed stream of the mention (0) or the entity (1) encoder. The two
+    tables come from separate streams, so untrained scores carry no lexical
+    signal."""
+    return np.random.default_rng([cfg.seed, encoder])
+
+
+def _chunk_rows(cfg: EncoderConfig) -> int:
+    return max(1, EMBEDDING_DRAW_CELLS // cfg.dim)
+
+
 def _seeded_embedding(cfg: EncoderConfig, rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
     """The initial embedding table ``rng`` draws, rows uniform in
     [-1/sqrt(dim), 1/sqrt(dim)], as ``(first row, rows)`` chunks of a fixed
@@ -222,57 +229,71 @@ def _seeded_embedding(cfg: EncoderConfig, rng: np.random.Generator) -> Iterator[
     stream, so the chunks are bitwise the table one call would draw, and
     ``rng`` is left where that call would leave it."""
     bound = 1.0 / math.sqrt(cfg.dim)
-    step = max(1, EMBEDDING_DRAW_CELLS // cfg.dim)
+    step = _chunk_rows(cfg)
     for lo in range(0, cfg.hash_buckets, step):
         yield lo, rng.uniform(-bound, bound, size=(min(step, cfg.hash_buckets - lo), cfg.dim))
 
 
-def _seeded_table(cfg: EncoderConfig, rng: np.random.Generator) -> np.ndarray:
-    """The whole of ``_seeded_embedding``, filled in chunk by chunk."""
-    table = np.empty((cfg.hash_buckets, cfg.dim))
-    for lo, rows in _seeded_embedding(cfg, rng):
-        table[lo : lo + len(rows)] = rows
-    return table
-
-
-def _entity_stream(cfg: EncoderConfig) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, 1])
-
-
-def _init_params(cfg: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
-    # The projection starts near the identity. The mention and entity tables
-    # are drawn from separate seed streams, so untrained scores carry no
-    # lexical signal.
-    embedding = _seeded_table(cfg, rng)
+def _initial_params(cfg: EncoderConfig, encoder: int, indices: np.ndarray) -> EncoderParams:
+    """The initial rows ``indices`` (ascending) of an encoder's embedding
+    table, in that order, gathered one drawn chunk at a time, with its initial
+    projection, near the identity, and bias."""
+    rng = _stream(cfg, encoder)
+    rows = np.empty((indices.size, cfg.dim))
+    for lo, chunk in _seeded_embedding(cfg, rng):
+        first, last = np.searchsorted(indices, (lo, lo + len(chunk)))
+        rows[first:last] = chunk[indices[first:last] - lo]
     projection = np.eye(cfg.dim) + 1e-2 * rng.standard_normal((cfg.dim, cfg.dim))
-    bias = np.zeros(cfg.dim)
-    return EncoderParams(embedding=embedding, projection=projection, bias=bias)
-
-
-def _changed_rows(cfg: EncoderConfig, embedding: np.ndarray) -> np.ndarray:
-    """Ascending indices of the rows of the entity table ``embedding`` whose
-    bits differ from its seeded draw, found one drawn chunk at a time."""
-    bits = embedding.view(np.uint64)
-    return np.concatenate([
-        lo + np.flatnonzero((rows.view(np.uint64) != bits[lo : lo + len(rows)]).any(axis=1))
-        for lo, rows in _seeded_embedding(cfg, _entity_stream(cfg))
-    ])
+    return EncoderParams(embedding=rows, projection=projection, bias=np.zeros(cfg.dim))
 
 
 @dataclass(frozen=True)
-class _StoredEntityParams:
-    """A loaded model's entity encoder as its file holds it: the projection,
-    the bias, and only the embedding rows training changed."""
+class _SeededParams:
+    """An encoder as its seed stream plus rows: its embedding table is the
+    stream's draw with ``rows`` written at ``indices``."""
 
+    encoder: int  # the seed stream, as ``_stream`` takes it
     indices: np.ndarray  # ascending
     rows: np.ndarray  # (len(indices), dim)
     projection: np.ndarray
     bias: np.ndarray
 
+    @classmethod
+    def over(cls, encoder: int, indices: np.ndarray, params: EncoderParams) -> "_SeededParams":
+        """The encoder whose rows at ``indices`` are ``params.embedding``."""
+        return cls(encoder, indices, params.embedding, params.projection, params.bias)
+
     def rebuild(self, cfg: EncoderConfig) -> EncoderParams:
-        embedding = _seeded_table(cfg, _entity_stream(cfg))
-        embedding[self.indices] = self.rows
+        embedding = np.empty((cfg.hash_buckets, cfg.dim))
+        for lo, rows in _table_chunks(self, cfg):
+            embedding[lo : lo + len(rows)] = rows
         return EncoderParams(embedding=embedding, projection=self.projection, bias=self.bias)
+
+
+def _table_chunks(params: EncoderParams | _SeededParams, cfg: EncoderConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """An encoder's embedding table as ``(first row, rows)`` chunks, in order,
+    however it is held: slices of a whole table, or drawn chunks with the
+    stored rows written over them. No more than one chunk is made at a time."""
+    if isinstance(params, EncoderParams):
+        step = _chunk_rows(cfg)
+        yield from ((lo, params.embedding[lo : lo + step]) for lo in range(0, cfg.hash_buckets, step))
+        return
+    for lo, chunk in _seeded_embedding(cfg, _stream(cfg, params.encoder)):
+        first, last = np.searchsorted(params.indices, (lo, lo + len(chunk)))
+        chunk[params.indices[first:last] - lo] = params.rows[first:last]
+        yield lo, chunk
+
+
+def _changed_rows(cfg: EncoderConfig, params: EncoderParams | _SeededParams) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending indices of the rows of the entity table of ``params``
+    whose bits differ from its seeded draw, and those rows, found one chunk
+    at a time."""
+    indices, rows = [np.empty(0, dtype=np.intp)], [np.empty((0, cfg.dim))]
+    for (lo, table), (_, start) in zip(_table_chunks(params, cfg), _seeded_embedding(cfg, _stream(cfg, 1))):
+        changed = np.flatnonzero((table.view(np.uint64) != start.view(np.uint64)).any(axis=1))
+        indices.append(lo + changed)
+        rows.append(table[changed])
+    return np.concatenate(indices), np.concatenate(rows)
 
 
 def _pool(feats: SequenceFeatures, params: EncoderParams) -> np.ndarray:
@@ -298,22 +319,26 @@ def score_pair(y_m: np.ndarray, y_e: np.ndarray) -> float:
 class DualEncoder:
     """The mention and entity encoders and their config.
 
-    A model loaded from a file keeps its entity encoder as the file stores
-    it until ``entity_params`` is first read, which draws the embedding table
-    from ``cfg.seed`` once and writes the stored rows over it: linking reads
-    the entity store, never the entity encoder, so only embedding entities
-    pays for the draw.
+    Each encoder is held whole (``EncoderParams``) or as its seed plus rows:
+    the projection, the bias, and the embedding rows that may differ from the
+    table ``cfg.seed`` draws. ``initialize`` gives the first form for both
+    and ``train`` the second; ``load`` maps the mention encoder whole and
+    keeps the entity encoder as its file stores it. Reading
+    ``mention_params`` or ``entity_params`` draws a table once and writes the
+    rows over it, while ``save`` and ``entity_encoder_digest`` read it one
+    chunk at a time. Linking reads the entity store, never the entity
+    encoder, so only embedding entities pays for the entity draw.
     """
 
     def __init__(
         self,
-        mention_params: EncoderParams,
-        entity_params: EncoderParams | _StoredEntityParams,
+        mention_params: EncoderParams | _SeededParams,
+        entity_params: EncoderParams | _SeededParams,
         cfg: EncoderConfig,
         train_seed: int | None = None,
         entity_digest: str | None = None,
     ):
-        self.mention_params = mention_params
+        self._mention_params = mention_params
         self._entity_params = entity_params
         self.cfg = cfg
         self.train_seed = train_seed
@@ -321,19 +346,24 @@ class DualEncoder:
         # from, so that a store can be checked without reading the entity arrays.
         self.entity_digest = entity_digest
 
+    def _whole(self, params: EncoderParams | _SeededParams) -> EncoderParams:
+        return params.rebuild(self.cfg) if isinstance(params, _SeededParams) else params
+
+    @property
+    def mention_params(self) -> EncoderParams:
+        self._mention_params = self._whole(self._mention_params)
+        return self._mention_params
+
     @property
     def entity_params(self) -> EncoderParams:
-        if isinstance(self._entity_params, _StoredEntityParams):
-            self._entity_params = self._entity_params.rebuild(self.cfg)
+        self._entity_params = self._whole(self._entity_params)
         return self._entity_params
 
     @classmethod
     def initialize(cls, cfg: EncoderConfig) -> "DualEncoder":
-        return cls(
-            mention_params=_init_params(cfg, np.random.default_rng([cfg.seed, 0])),
-            entity_params=_init_params(cfg, _entity_stream(cfg)),
-            cfg=cfg,
-        )
+        """A fresh model, both encoders whole."""
+        every_row = np.arange(cfg.hash_buckets)
+        return cls(_initial_params(cfg, 0, every_row), _initial_params(cfg, 1, every_row), cfg)
 
     def encode_mention(
         self, m: MentionRecord, pieces: tuple[TokenStream, TokenStream, TokenStream] | None = None
@@ -346,29 +376,33 @@ class DualEncoder:
     def save(self, path) -> None:
         """Write the mention encoder whole, and of the entity encoder the
         projection, the bias and the embedding rows whose bits differ from
-        the table ``cfg.seed`` draws, with their indices in the header."""
-        entity = self.entity_params
-        indices = _changed_rows(self.cfg, entity.embedding)
+        the table ``cfg.seed`` draws, with their indices in the header. Each
+        table is read one chunk at a time, so neither is held whole."""
+        cfg, mention, entity = self.cfg, self._mention_params, self._entity_params
+        indices, rows = _changed_rows(cfg, entity)
         meta = {
-            "encoder_config": asdict(self.cfg),
+            "encoder_config": asdict(cfg),
             "train_seed": self.train_seed,
             "entity_encoder_digest": entity_encoder_digest(self),
             "entity_row_indices": indices.tolist(),
         }
         arrays = {
-            "mention.embedding": self.mention_params.embedding,
-            "mention.projection": self.mention_params.projection,
-            "mention.bias": self.mention_params.bias,
+            "mention.embedding": mention.embedding if isinstance(mention, EncoderParams) else RowChunks(
+                (cfg.hash_buckets, cfg.dim), (chunk for _, chunk in _table_chunks(mention, cfg))
+            ),
+            "mention.projection": mention.projection,
+            "mention.bias": mention.bias,
             "entity.projection": entity.projection,
             "entity.bias": entity.bias,
-            "entity.embedding_rows": entity.embedding.take(indices, axis=0),
+            "entity.embedding_rows": rows,
         }
         write_container(path, MODEL_FORMAT_TAG, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "DualEncoder":
-        """The model in ``path``. No array is read and nothing is drawn; the
-        entity embedding table is rebuilt when ``entity_params`` is first read."""
+        """The model in ``path``. No array is read and nothing is drawn: the
+        mention encoder is mapped whole, and the entity embedding table is
+        rebuilt when ``entity_params`` is first read."""
         meta, arrays = read_container(path, MODEL_FORMAT_TAG, rerun="train")
         with decoding(path):
             # Every field is required: a default would silently change features.
@@ -397,8 +431,8 @@ class DualEncoder:
                 if arrays[name].shape != shape:
                     raise ValueError(f"array {name} has shape {arrays[name].shape}, expected {shape}")
             mention = EncoderParams(*(arrays[f"mention.{name}"] for name in ("embedding", "projection", "bias")))
-            entity = _StoredEntityParams(
-                np.array(indices, dtype=np.intp), arrays["entity.embedding_rows"], arrays["entity.projection"],
+            entity = _SeededParams(
+                1, np.array(indices, dtype=np.intp), arrays["entity.embedding_rows"], arrays["entity.projection"],
                 arrays["entity.bias"],
             )
             return cls(mention, entity, cfg, train_seed=meta.get("train_seed"), entity_digest=digest)
@@ -419,7 +453,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "negatives_per_example", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, config_integer(name, getattr(self, name)))
+        object.__setattr__(self, "learning_rate", config_real("learning_rate", self.learning_rate))
         for name in ("learning_rate", "epochs", "batch_size", "negatives_per_example"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be finite and positive")
@@ -603,6 +638,29 @@ def _apply_grads(params: EncoderParams, grads: ParamGrads, learning_rate: float)
     params.bias -= learning_rate * grads.bias
 
 
+def _renumbered(examples: Sequence[TrainExample]) -> tuple[np.ndarray, np.ndarray, list[TrainExample]]:
+    """The distinct bucket ids of the mention side and of the entity side,
+    each ascending, and ``examples`` with every bucket id replaced by its
+    position among its side's. The map keeps the order of bucket ids."""
+
+    def distinct(sequences) -> np.ndarray:
+        return np.unique(np.concatenate([np.empty(0, dtype=np.int64), *(feats.buckets for feats in sequences)]))
+
+    def renumber(feats: SequenceFeatures, ids: np.ndarray) -> SequenceFeatures:
+        return SequenceFeatures(np.searchsorted(ids, feats.buckets), feats.counts, feats.token_count)
+
+    mention_ids = distinct(example.mention for example in examples)
+    # Examples share the features of an entity; each is renumbered once.
+    candidates = {id(feats): feats for example in examples for feats in example.candidates}
+    entity_ids = distinct(candidates.values())
+    renumbered = {key: renumber(feats, entity_ids) for key, feats in candidates.items()}
+    return mention_ids, entity_ids, [
+        TrainExample(renumber(example.mention, mention_ids), example.candidate_ids,
+                     [renumbered[id(feats)] for feats in example.candidates])
+        for example in examples
+    ]
+
+
 def train(
     ds: Dataset,
     kb: KnowledgeBase,
@@ -610,21 +668,37 @@ def train(
     tc: TrainConfig = TrainConfig(),
     ec: EncoderConfig = EncoderConfig(),
 ) -> tuple[DualEncoder, TrainStats]:
-    """Train a fresh dual encoder on the dataset; deterministic under seed."""
-    model = DualEncoder.initialize(ec)
+    """Train a fresh dual encoder on the dataset; deterministic under seed.
+
+    Only the embedding rows of the buckets the examples hold are read or
+    written, so only they are held: each side's are gathered from its seeded
+    draw into a table of their own, in ascending bucket order. Renumbering
+    the examples' buckets into that table keeps their order, so every step
+    below gathers, sums and updates the same floats in the same order as on
+    the whole table. The model returned holds each encoder as its seed plus
+    those rows.
+    """
     examples = build_training_examples(ds, kb, retriever, tc, ec)
-    initial = dataset_loss(model, examples)
+    mention_ids, entity_ids, examples = _renumbered(examples)
+    # Tables of the touched rows alone: row i is the i-th bucket id of its side.
+    compact = DualEncoder(_initial_params(ec, 0, mention_ids), _initial_params(ec, 1, entity_ids), ec)
+    initial = dataset_loss(compact, examples)
     order_rng = np.random.default_rng([tc.seed, 29])
     for _ in range(tc.epochs):
         order = order_rng.permutation(len(examples))
         for lo in range(0, len(order), tc.batch_size):
             batch = [examples[i] for i in order[lo : lo + tc.batch_size]]
-            _, grads_m, grads_e = batch_loss_and_grads(model, batch)
-            _apply_grads(model.mention_params, grads_m, tc.learning_rate)
-            _apply_grads(model.entity_params, grads_e, tc.learning_rate)
-    final = dataset_loss(model, examples)
-    model.train_seed = tc.seed
-    return model, TrainStats(initial_loss=initial, final_loss=final, examples=len(examples), epochs=tc.epochs)
+            _, grads_m, grads_e = batch_loss_and_grads(compact, batch)
+            _apply_grads(compact.mention_params, grads_m, tc.learning_rate)
+            _apply_grads(compact.entity_params, grads_e, tc.learning_rate)
+    final = dataset_loss(compact, examples)
+    trained = DualEncoder(
+        _SeededParams.over(0, mention_ids, compact.mention_params),
+        _SeededParams.over(1, entity_ids, compact.entity_params),
+        ec,
+        train_seed=tc.seed,
+    )
+    return trained, TrainStats(initial_loss=initial, final_loss=final, examples=len(examples), epochs=tc.epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +748,11 @@ class EntityEmbeddingStore:
 def entity_encoder_digest(model: DualEncoder) -> str:
     """CRC-32, in hex, of the entity encoder's three arrays: a model's header
     and a store record it, so that a store embedded by another model can be
-    told apart."""
+    told apart. The embedding table is read one chunk at a time."""
+    params = model._entity_params
+    table = (chunk for _, chunk in _table_chunks(params, model.cfg))
     crc = 0
-    for array in (model.entity_params.embedding, model.entity_params.projection, model.entity_params.bias):
+    for array in itertools.chain(table, (params.projection, params.bias)):
         crc = zlib.crc32(np.ascontiguousarray(array, dtype="<f8").data, crc)
     return f"{crc:08x}"
 

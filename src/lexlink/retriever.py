@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .artifacts import decoding, read_container, write_container
 from .bm25 import Bm25Index, Bm25Params, TermCounts, rank_term_counts
 from .corpus import AliasEntry, AliasTable, KnowledgeBase, MentionRecord, alias_prior
-from .errors import DataError, InvalidConfig
+from .errors import DataError, InvalidConfig, config_integer
 from .tokenizer import TokenStream, tokenize
 
 AT_FORMAT_TAG = "lexlink.at-index/3"
@@ -49,6 +49,7 @@ class RetrieverConfig:
     def __post_init__(self):
         # A k beyond sys.maxsize cannot bound a list slice or islice.
         for name in ("k_at", "k_kb", "k_desc"):
+            object.__setattr__(self, name, config_integer(name, getattr(self, name)))
             if not 1 <= getattr(self, name) <= sys.maxsize:
                 raise InvalidConfig(f"{name} must be in [1, {sys.maxsize}]")
 

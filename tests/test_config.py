@@ -15,6 +15,15 @@ REJECTED = {
     "b_nan": lambda: Bm25Params(b=float("nan")),
     "k_desc": lambda: RetrieverConfig(k_desc=0),
     "k_at_too_large": lambda: RetrieverConfig(k_at=2**64),
+    "k_at_float": lambda: RetrieverConfig(k_at=1.5),
+    "k_at_bool": lambda: RetrieverConfig(k_at=True),
+    "k_kb_text": lambda: RetrieverConfig(k_kb="3"),
+    "k_desc_float": lambda: RetrieverConfig(k_desc=3.0),
+    "k1_text": lambda: Bm25Params(k1="1.5"),
+    "k1_bool": lambda: Bm25Params(k1=True),
+    "k1_too_large": lambda: Bm25Params(k1=10**400),
+    "b_bool": lambda: Bm25Params(b=False),
+    "b_none": lambda: Bm25Params(b=None),
     "dim": lambda: EncoderConfig(dim=0),
     "hash_buckets": lambda: EncoderConfig(hash_buckets=0),
     "hash_buckets_too_large": lambda: EncoderConfig(hash_buckets=10**15, dim=16),
@@ -27,6 +36,8 @@ REJECTED = {
     "batch_size": lambda: TrainConfig(batch_size=0),
     "learning_rate_nan": lambda: TrainConfig(learning_rate=float("nan")),
     "learning_rate_inf": lambda: TrainConfig(learning_rate=float("inf")),
+    "learning_rate_text": lambda: TrainConfig(learning_rate="0.1"),
+    "learning_rate_bool": lambda: TrainConfig(learning_rate=True),
     "train_seed": lambda: TrainConfig(seed=-1),
     "epochs_float": lambda: TrainConfig(epochs=1.5),
     "epochs_bool": lambda: TrainConfig(epochs=True),

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lexlink.corpus import (
+    _PRIOR_SUM_TOLERANCE,
     AliasEntry,
     AliasTable,
     Dataset,
@@ -121,6 +122,36 @@ def test_alias_prior_sum_exceeded():
             AliasEntry(alias="A", entity_id="Q1", prior=0.8),
             AliasEntry(alias="A", entity_id="Q2", prior=0.7),
         ])
+
+
+def sorting_every_bucket(entries: list[AliasEntry]) -> dict[str, list[int]] | PriorSumExceeded:
+    """``AliasTable``'s buckets with every bucket sorted and summed, or the
+    error its prior check raises."""
+    buckets: dict[str, list[int]] = {}
+    for pos, entry in enumerate(entries):
+        buckets.setdefault(entry.alias, []).append(pos)
+    for alias, positions in buckets.items():
+        positions.sort(key=lambda p: (-entries[p].prior, entries[p].entity_id))
+        total = sum(entries[p].prior for p in positions)
+        if total > 1.0 + _PRIOR_SUM_TOLERANCE:
+            return PriorSumExceeded(alias, total)
+    return buckets
+
+
+@settings(max_examples=300)
+@given(st.lists(
+    st.builds(AliasEntry, alias=st.sampled_from("ABCDEF"), entity_id=st.sampled_from(["Q1", "Q2", "Q3"]),
+              prior=st.floats(0.0, 1.25)),
+    max_size=10,
+))
+def test_alias_buckets_and_the_prior_check_match_sorting_every_bucket(entries):
+    want = sorting_every_bucket(entries)
+    if isinstance(want, PriorSumExceeded):
+        with pytest.raises(PriorSumExceeded) as info:
+            AliasTable(entries)
+        assert (info.value.alias, info.value.total) == (want.alias, want.total)
+    else:
+        assert list(AliasTable(entries).by_alias.items()) == list(want.items())
 
 
 def test_every_entry_lands_in_exactly_one_bucket(fruit_aliases):

@@ -9,14 +9,27 @@ arguments the drivers pass.
 import inspect
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from lexlink import reranker
 from lexlink.bm25 import Bm25Index
+from lexlink.corpus import Dataset
 from lexlink.ensemble import Prediction, VoteInput
 from lexlink.pipeline import LinkedMention, Pipeline
-from lexlink.reranker import EntityEmbeddingStore, build_mention_sequence, encode, score_pair, sequence_features
+from lexlink.reranker import (
+    DualEncoder,
+    EncoderConfig,
+    EntityEmbeddingStore,
+    TrainConfig,
+    build_mention_sequence,
+    encode,
+    precompute_entity_embeddings,
+    score_pair,
+    sequence_features,
+)
 from lexlink.retriever import RetrievalResult, Retriever, merge_coarse
+from lexlink.synth import SynthSpec, build_synthetic
 
 SELF = object()
 RESULT_FIELDS = ("cand_at", "cand_kb", "cand1", "cand2", "top1_at", "top1_kb", "top1_desc")
@@ -41,6 +54,12 @@ CALLS = [
     (sequence_features, ("seq", "cfg"), {}),
     (encode, ("features", "params", "cfg"), {}),
     (score_pair, ("y_m", "y_e"), {}),
+    (reranker.train, ("train_ds", "kb", "retriever", "train_config", "encoder_config"), {}),
+    (DualEncoder.initialize, ("cfg",), {}),
+    (DualEncoder.save, (SELF, "path"), {}),
+    (DualEncoder.load, ("path",), {}),
+    (EntityEmbeddingStore.load, ("path", "kb"), {}),
+    (precompute_entity_embeddings, ("model", "kb"), {}),
 ]
 
 
@@ -52,6 +71,22 @@ def test_the_calls_the_benchmark_drivers_make_still_bind():
     assert isinstance(Bm25Index.build([["a"], ["a", "b"]]).postings, dict)
     assert {"build_training_examples", "batch_loss_and_grads", "dataset_loss"} <= set(reranker.train.__code__.co_names)
     assert tuple(f.name for f in fields(LinkedMention) if f.compare) == LINKED_FIELDS
+
+
+def test_trained_and_initialized_models_read_as_whole_tables():
+    """The traced driver counts the rows training changed by comparing the
+    embedding tables of a trained and an initialized model, and fingerprints
+    a model by all six of its arrays; each is read as a whole array."""
+    kb, at, ds = build_synthetic(SynthSpec(seed=3, n_entities=20, n_aliases=25, n_mentions=30))
+    cfg = EncoderConfig(dim=8, hash_buckets=256, max_len=32, seed=1)
+    trained, _ = reranker.train(Dataset(ds.records, split="train"), kb, Retriever.build(kb, at), TrainConfig(), cfg)
+    initial = DualEncoder.initialize(trained.cfg)
+    pairs = ((trained.mention_params, initial.mention_params), (trained.entity_params, initial.entity_params))
+    for params in (param for pair in pairs for param in pair):
+        assert isinstance(params.embedding, np.ndarray) and params.embedding.shape == (cfg.hash_buckets, cfg.dim)
+        assert params.projection.shape == (cfg.dim, cfg.dim) and params.bias.shape == (cfg.dim,)
+    for after, before in pairs:
+        assert 0 < np.any(after.embedding != before.embedding, axis=1).sum() < cfg.hash_buckets
 
 
 @pytest.mark.parametrize(

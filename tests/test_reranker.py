@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -41,6 +42,7 @@ from lexlink.reranker import (
     precompute_entity_embeddings,
     rerank,
     score_pair,
+    _apply_grads,
     _token_buckets,
     sequence_features,
     train,
@@ -454,6 +456,36 @@ def test_training_is_bitwise_reproducible():
         assert np.array_equal(a.bias, b.bias)
 
 
+def whole_table_training(ds, kb, retriever, tc, ec):
+    """``train``'s loop run on both whole embedding tables, as a reference."""
+    model = DualEncoder.initialize(ec)
+    examples = build_training_examples(ds, kb, retriever, tc, ec)
+    initial = dataset_loss(model, examples)
+    order_rng = np.random.default_rng([tc.seed, 29])
+    for _ in range(tc.epochs):
+        order = order_rng.permutation(len(examples))
+        for lo in range(0, len(order), tc.batch_size):
+            _, grads_m, grads_e = batch_loss_and_grads(model, [examples[i] for i in order[lo : lo + tc.batch_size]])
+            _apply_grads(model.mention_params, grads_m, tc.learning_rate)
+            _apply_grads(model.entity_params, grads_e, tc.learning_rate)
+    return model, initial, dataset_loss(model, examples)
+
+
+@pytest.mark.parametrize("epochs,batch_size", [(1, 64), (3, 7)])
+def test_training_on_the_touched_rows_is_bitwise_training_on_the_whole_tables(epochs, batch_size):
+    kb, at, ds = build_synthetic(SynthSpec(
+        seed=13, n_entities=30, n_aliases=40, n_mentions=60, ambiguity_rate=0.4, tail_rate=0.2,
+    ))
+    args = (Dataset(ds.records, split="train"), kb, Retriever.build(kb, at),
+            TrainConfig(epochs=epochs, batch_size=batch_size, seed=9), EncoderConfig(dim=16, hash_buckets=1024, seed=9))
+    model, stats = train(*args)
+    reference, initial, final = whole_table_training(*args)
+    assert (stats.initial_loss.hex(), stats.final_loss.hex()) == (initial.hex(), final.hex())
+    for got, want in ((model.mention_params, reference.mention_params), (model.entity_params, reference.entity_params)):
+        for name in ("embedding", "projection", "bias"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_train_rejects_missing_gold():
     kb, ds = small_world()
     records = ds.records + [mention("text name1 tok1 here", "name1 tok1", gold=None, doc_id="bad")]
@@ -738,6 +770,39 @@ def test_saving_a_model_copies_none_of_its_arrays(tmp_path):
     # An untrained entity table is stored as its seed alone.
     stored_bytes = array_bytes - model.entity_params.embedding.nbytes
     assert (tmp_path / "model.lxc").stat().st_size > stored_bytes
+
+
+# SHA-256 of the files ``trained_small_model`` writes, recorded from the
+# implementation that trained and saved whole embedding tables. They hold as
+# long as numpy's seeded stream does, as the files themselves do.
+SMALL_MODEL_SHA256 = "34a5e663f220339004d7524b1fccbf545c9a97e31bcd3e67a377b6e4d730edb7"
+SMALL_STORE_SHA256 = "11b27d156961fa40969e54a550eb780393aff9c04ed1e8228934a2c2f5a4e3c4"
+
+
+def test_a_trained_model_and_its_store_are_the_recorded_bytes(tmp_path):
+    kb, _, model = trained_small_model()
+    model.save(tmp_path / "model.lxc")
+    precompute_entity_embeddings(model, kb).save(tmp_path / "entities.lxc")
+    assert hashlib.sha256((tmp_path / "model.lxc").read_bytes()).hexdigest() == SMALL_MODEL_SHA256
+    assert hashlib.sha256((tmp_path / "entities.lxc").read_bytes()).hexdigest() == SMALL_STORE_SHA256
+
+
+def test_training_and_saving_hold_no_embedding_table(tmp_path):
+    kb, at, ds = build_synthetic(SynthSpec(
+        seed=3, n_entities=20, n_aliases=25, n_mentions=30, ambiguity_rate=0.2, tail_rate=0.2,
+    ))
+    retriever = Retriever.build(kb, at)
+    ec = EncoderConfig(hash_buckets=2**17, dim=64, seed=4)
+    table_bytes = ec.hash_buckets * ec.dim * 8
+    tracemalloc.start()
+    try:
+        model, _ = train(Dataset(ds.records, split="train"), kb, retriever, TrainConfig(seed=4), ec)
+        model.save(tmp_path / "model.lxc")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * table_bytes
+    assert DualEncoder.load(tmp_path / "model.lxc").mention_params.embedding.shape == (ec.hash_buckets, ec.dim)
 
 
 def test_loading_a_model_reads_none_of_its_arrays(tmp_path):
