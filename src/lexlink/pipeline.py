@@ -10,7 +10,7 @@ from .corpus import Dataset, KnowledgeBase, MentionRecord
 from .ensemble import Prediction, VoteInput, vote
 from .errors import InvalidConfig
 from .reranker import DualEncoder, EntityEmbeddingStore, rerank
-from .retriever import RetrievalResult, Retriever
+from .retriever import RetrievalResult, Retriever, merge_coarse
 from .tokenizer import TokenStream, tokenize_around
 
 # Pipeline pieces that ablations may disable.
@@ -56,7 +56,9 @@ class Pipeline:
         # One tokenization of the document serves the fine query and the
         # mention sequence.
         left, span, right, doc_tokens = tokenize_around(m.text, m.span_start, m.span_end)
-        result = self.retriever.retrieve(self.kb, m, disabled, doc_tokens=doc_tokens)
+        result = self.retriever.retrieve(self.kb, m, doc_tokens)
+        if disabled:
+            result = self._without(m, result, disabled, doc_tokens)
         reranked = rerank(self.model, self.store, m, result.cand1, (left, span, right))
         return _decide(m, result, reranked, disabled, doc_tokens)
 
@@ -65,24 +67,20 @@ class Pipeline:
         ``link(m, {toggle})`` returns, derived from that one link instead of
         linking again.
 
+        The ``ensemble`` row keeps the link's retrieval, and each stage row is
+        ``_without`` over it, as in a toggled ``link``: only the fine stage
+        reruns, and only where the row's Cand1 differs from the full one.
         Disabling ``ensemble`` or ``desc_bm25`` keeps the reranker pool, which
-        is Cand1 either way. Each stage row comes from ``Retriever.retrieve``
-        given the full result, which reruns only the fine stage, and only where
-        the row's Cand1 differs from the full one, with the link's document
-        tokens. The reranker's scores depend only on the mention and the
-        entity and it ranks by ``(-score, entity_id)``, so the full ranking
-        filtered to a smaller pool is that pool's ranking. A row whose Cand1
-        equals the full one shares the link's ranking list.
+        is Cand1 either way. The reranker's scores depend only on the mention
+        and the entity and it ranks by ``(-score, entity_id)``, so the full
+        ranking filtered to a smaller pool is that pool's ranking. A row whose
+        Cand1 equals the full one shares the link's ranking list.
         """
         lm = self.link(m)
         views = [lm]
         for toggle in TOGGLES:
             disabled = frozenset((toggle,))
-            result = (
-                lm.retrieval
-                if toggle == "ensemble"
-                else self.retriever.retrieve(self.kb, m, disabled, full=lm.retrieval, doc_tokens=lm.doc_tokens)
-            )
+            result = lm.retrieval if toggle == "ensemble" else self._without(m, lm.retrieval, disabled, lm.doc_tokens)
             if result.cand1 == lm.retrieval.cand1:
                 reranked = lm.reranked
             else:
@@ -90,6 +88,24 @@ class Pipeline:
                 reranked = [pair for pair in lm.reranked if pair[0] in pool]
             views.append(_decide(m, result, reranked, disabled))
         return views
+
+    def _without(
+        self, m: MentionRecord, full: RetrievalResult, disabled: frozenset[str], doc_tokens: TokenStream | None
+    ) -> RetrievalResult:
+        """``full``, the cascade's result for ``m``, with the BM25 stages in
+        ``disabled`` left out: their lists emptied and the coarse lists merged
+        again. A Cand1 equal to the full one keeps its Cand2; another is ranked
+        again by the fine stage alone, with the link's document tokens."""
+        cand_at = [] if "at_bm25" in disabled else full.cand_at
+        cand_kb = [] if "kb_bm25" in disabled else full.cand_kb
+        cand1 = merge_coarse(cand_at, cand_kb)
+        if "desc_bm25" in disabled:
+            cand2 = []
+        elif cand1 == full.cand1:
+            cand2 = full.cand2
+        else:
+            cand2 = self.retriever.retrieve_fine(self.kb, m.text, cand1, doc_tokens)
+        return RetrievalResult.of(cand_at, cand_kb, cand1, cand2)
 
     def link_dataset(self, ds: Dataset) -> list[LinkedMention]:
         return [self.link(record) for record in ds.records]

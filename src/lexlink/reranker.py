@@ -258,11 +258,6 @@ class _SeededParams:
     projection: np.ndarray
     bias: np.ndarray
 
-    @classmethod
-    def over(cls, encoder: int, indices: np.ndarray, params: EncoderParams) -> "_SeededParams":
-        """The encoder whose rows at ``indices`` are ``params.embedding``."""
-        return cls(encoder, indices, params.embedding, params.projection, params.bias)
-
     def rebuild(self, cfg: EncoderConfig) -> EncoderParams:
         embedding = np.empty((cfg.hash_buckets, cfg.dim))
         for lo, rows in _table_chunks(self, cfg):
@@ -286,8 +281,14 @@ def _table_chunks(params: EncoderParams | _SeededParams, cfg: EncoderConfig) -> 
 
 def _changed_rows(cfg: EncoderConfig, params: EncoderParams | _SeededParams) -> tuple[np.ndarray, np.ndarray]:
     """The ascending indices of the rows of the entity table of ``params``
-    whose bits differ from its seeded draw, and those rows, found one chunk
-    at a time."""
+    whose bits differ from its seeded draw, and those rows. Of an encoder
+    held as its seed plus rows, only the stored rows can differ, and they are
+    compared with the draw at their own indices; a whole table is compared
+    one chunk at a time."""
+    if isinstance(params, _SeededParams):
+        start = _initial_params(cfg, 1, params.indices).embedding
+        changed = np.flatnonzero((params.rows.view(np.uint64) != start.view(np.uint64)).any(axis=1))
+        return params.indices[changed], params.rows[changed]
     indices, rows = [np.empty(0, dtype=np.intp)], [np.empty((0, cfg.dim))]
     for (lo, table), (_, start) in zip(_table_chunks(params, cfg), _seeded_embedding(cfg, _stream(cfg, 1))):
         changed = np.flatnonzero((table.view(np.uint64) != start.view(np.uint64)).any(axis=1))
@@ -562,7 +563,8 @@ def dataset_loss(model: DualEncoder, examples: Sequence[TrainExample]) -> float:
 def _bucket_rows(sequences: Sequence[SequenceFeatures]) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """The distinct bucket ids of ``sequences``, ascending, and each
     sequence's rows among them, one sequence after another."""
-    unique, inverse = np.unique(np.concatenate([feats.buckets for feats in sequences]), return_inverse=True)
+    buckets = np.concatenate([np.empty(0, dtype=np.int64), *(feats.buckets for feats in sequences)])
+    unique, inverse = np.unique(buckets, return_inverse=True)
     return unique, iter(np.split(inverse, np.cumsum([feats.buckets.size for feats in sequences])[:-1]))
 
 
@@ -642,21 +644,14 @@ def _renumbered(examples: Sequence[TrainExample]) -> tuple[np.ndarray, np.ndarra
     """The distinct bucket ids of the mention side and of the entity side,
     each ascending, and ``examples`` with every bucket id replaced by its
     position among its side's. The map keeps the order of bucket ids."""
-
-    def distinct(sequences) -> np.ndarray:
-        return np.unique(np.concatenate([np.empty(0, dtype=np.int64), *(feats.buckets for feats in sequences)]))
-
-    def renumber(feats: SequenceFeatures, ids: np.ndarray) -> SequenceFeatures:
-        return SequenceFeatures(np.searchsorted(ids, feats.buckets), feats.counts, feats.token_count)
-
-    mention_ids = distinct(example.mention for example in examples)
+    mention_ids, mention_rows = _bucket_rows([example.mention for example in examples])
     # Examples share the features of an entity; each is renumbered once.
     candidates = {id(feats): feats for example in examples for feats in example.candidates}
-    entity_ids = distinct(candidates.values())
-    renumbered = {key: renumber(feats, entity_ids) for key, feats in candidates.items()}
+    entity_ids, entity_rows = _bucket_rows(list(candidates.values()))
+    renumbered = {key: SequenceFeatures(next(entity_rows), f.counts, f.token_count) for key, f in candidates.items()}
     return mention_ids, entity_ids, [
-        TrainExample(renumber(example.mention, mention_ids), example.candidate_ids,
-                     [renumbered[id(feats)] for feats in example.candidates])
+        TrainExample(SequenceFeatures(next(mention_rows), example.mention.counts, example.mention.token_count),
+                     example.candidate_ids, [renumbered[id(feats)] for feats in example.candidates])
         for example in examples
     ]
 
@@ -692,9 +687,10 @@ def train(
             _apply_grads(compact.mention_params, grads_m, tc.learning_rate)
             _apply_grads(compact.entity_params, grads_e, tc.learning_rate)
     final = dataset_loss(compact, examples)
+    mp, ep = compact.mention_params, compact.entity_params
     trained = DualEncoder(
-        _SeededParams.over(0, mention_ids, compact.mention_params),
-        _SeededParams.over(1, entity_ids, compact.entity_params),
+        _SeededParams(0, mention_ids, mp.embedding, mp.projection, mp.bias),
+        _SeededParams(1, entity_ids, ep.embedding, ep.projection, ep.bias),
         ec,
         train_seed=tc.seed,
     )

@@ -5,9 +5,10 @@ alias-table surface forms, one across knowledge-base entity names. The
 survivors are merged into a duplicate-free candidate list, and the fine layer
 re-retrieves from it by ranking the candidates' descriptions with BM25 for the
 mention's document text. ``Retriever.retrieve`` is the one place the two layers
-are chained. A caller that has already tokenized the document
-(``Pipeline.link`` does, once per link, for the fine query and the reranker's
-mention sequence alike) passes the tokens in.
+are chained, always all of them: leaving a stage out, as an ablation does, is
+done by ``Pipeline`` on the lists it returns. A caller that has already
+tokenized the document (``Pipeline.link`` does, once per link, for the fine
+query and the reranker's mention sequence alike) passes the tokens in.
 """
 
 from __future__ import annotations
@@ -62,6 +63,14 @@ class RetrievalResult(NamedTuple):
     top1_at: str | None
     top1_kb: str | None
     top1_desc: str | None
+
+    @classmethod
+    def of(
+        cls, cand_at: CandidateSet, cand_kb: CandidateSet, cand1: CandidateSet, cand2: CandidateSet
+    ) -> RetrievalResult:
+        """The result holding these lists; each stage's top-1 is its list's head."""
+        heads = (cands[0] if cands else None for cands in (cand_at, cand_kb, cand2))
+        return cls(cand_at, cand_kb, cand1, cand2, *heads)
 
 
 def merge_coarse(cand_at: CandidateSet, cand_kb: CandidateSet) -> CandidateSet:
@@ -132,42 +141,14 @@ class Retriever:
         return [cand1[hit.doc_index] for hit in hits]
 
     def retrieve(
-        self,
-        kb: KnowledgeBase,
-        mention: MentionRecord,
-        disabled: frozenset[str] = frozenset(),
-        full: RetrievalResult | None = None,
-        doc_tokens: TokenStream | None = None,
+        self, kb: KnowledgeBase, mention: MentionRecord, doc_tokens: TokenStream | None = None
     ) -> RetrievalResult:
-        """Full cascade. ``disabled`` may name BM25 stages to leave out
-        (``at_bm25``, ``kb_bm25``, ``desc_bm25``), used by ablations.
-
-        ``full`` is this mention's result with no stage disabled, when the
-        caller has it: its coarse lists are reused, and a Cand1 equal to its
-        Cand1 takes its Cand2 instead of ranking again. ``doc_tokens``, when
-        given, is the document's tokens, passed on to ``retrieve_fine``.
-        """
-        cand_at, cand_kb = (full.cand_at, full.cand_kb) if full is not None else self.retrieve_coarse(mention.mention)
-        if "at_bm25" in disabled:
-            cand_at = []
-        if "kb_bm25" in disabled:
-            cand_kb = []
+        """The cascade: the coarse lists, Cand1 as their merge, and Cand2 as
+        Cand1 ranked by the fine stage. ``doc_tokens``, when given, is the
+        document's tokens, passed on to ``retrieve_fine``."""
+        cand_at, cand_kb = self.retrieve_coarse(mention.mention)
         cand1 = merge_coarse(cand_at, cand_kb)
-        if "desc_bm25" in disabled:
-            cand2: CandidateSet = []
-        elif full is not None and cand1 == full.cand1:
-            cand2 = full.cand2
-        else:
-            cand2 = self.retrieve_fine(kb, mention.text, cand1, doc_tokens)
-        return RetrievalResult(
-            cand_at=cand_at,
-            cand_kb=cand_kb,
-            cand1=cand1,
-            cand2=cand2,
-            top1_at=cand_at[0] if cand_at else None,
-            top1_kb=cand_kb[0] if cand_kb else None,
-            top1_desc=cand2[0] if cand2 else None,
-        )
+        return RetrievalResult.of(cand_at, cand_kb, cand1, self.retrieve_fine(kb, mention.text, cand1, doc_tokens))
 
     def save(self, at_path, kb_path) -> None:
         """Each index as a container with no arrays holding the rows it is

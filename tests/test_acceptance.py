@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 print. Every tolerance is pinned in the assertion that enforces it.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -346,3 +347,33 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     ]
     report(10, "identical seeds give byte-identical artifacts, predictions, and reports",
            not differing, f"{len(targets)} files compared")
+
+
+# SHA-256 of every file ``run_cli_workflow`` writes. A change that keeps the
+# outputs byte-identical keeps these; one that means to change them records
+# the new digests and says why. They hold as long as numpy's seeded stream does.
+WORKFLOW_SHA256 = {
+    "at.json": "8f9edefc448cdd779b4b0d94993dd01c4882b6a5418c5308ae3d06213f406ce4",
+    "kb.json": "9a8a22e88cd03ccf24aeab828ec93aa1042bbe0c77281966981db326ef39563e",
+    "model.lxc": "cc22a9b41ddae5668427bc4ee2cef49cee7b1879fe309c4b9c77748adccdc44f",
+    "store.lxc": "3adb5710135f34bcb47026ecb31fc418cae80e3685034123f32c281c15835106",
+    "predictions.jsonl": "bc0ee9feae1d8bb3a514bc35e049179a227d53d8b172c142ed437ae1ed2bfb85",
+    "reports/recall.txt": "80b5edcb257ce7faede50bea92c3b1a2ca01783d19f16205d0683a6e6b2b5efe",
+    "reports/recall.json": "a661f3912d81d98521c1071d2ca47ebd0e6a9b70c2967f2675a3c8cac3fe267a",
+    "reports/accuracy.txt": "e981b7af8423b4aea1f3a6cf45d4151d229da2cd8a8af5fccd6e051848710efd",
+    "reports/accuracy.json": "b1b8a6f62eca1110d137c93c92cef482f7f5de826ad2903586ac5f467030442d",
+    "reports/ablation.txt": "ae690f8c7087220feb5d682562eb7be2f8b517c29f169ad51fa3e4347a7a8822",
+    "reports/ablation.json": "4dd8fa71f354f789f0012bd04a26f3adff3d4edefcf7c96f02c6f433b5878b17",
+}
+
+
+def test_criterion_10_outputs_are_the_recorded_bytes(tmp_path):
+    art = run_cli_workflow(tmp_path)
+    digests = {
+        path.relative_to(art).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in art.rglob("*") if path.is_file()
+    }
+    differing = sorted(name for name in digests.keys() | WORKFLOW_SHA256.keys()
+                       if digests.get(name) != WORKFLOW_SHA256.get(name))
+    report(10, "the workflow writes the recorded bytes", not differing,
+           f"{len(WORKFLOW_SHA256)} files pinned, differing: {differing}")

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -8,17 +9,19 @@ import oracles
 from lexlink import tokenizer
 from lexlink.corpus import AliasTable, EntityRecord, KnowledgeBase, MentionRecord
 from lexlink.ensemble import VoteInput
-from lexlink.errors import MentionTooLong
+from lexlink.errors import MentionTooLong, StaleIndex
 from lexlink.pipeline import RERANKER_ONLY, TOGGLES, Pipeline
 from lexlink.reranker import DualEncoder, EncoderConfig, build_mention_sequence, precompute_entity_embeddings, rerank
-from lexlink.retriever import Retriever
+from lexlink.retriever import Retriever, RetrieverConfig
+
+from test_retriever import random_mentions, random_world
 
 
-def make_pipeline(kb, aliases):
+def make_pipeline(kb, aliases, config=RetrieverConfig()):
     model = DualEncoder.initialize(EncoderConfig(dim=8, hash_buckets=512, max_len=32, seed=1))
     return Pipeline(
         kb=kb,
-        retriever=Retriever.build(kb, aliases),
+        retriever=Retriever.build(kb, aliases, config),
         model=model,
         store=precompute_entity_embeddings(model, kb),
     )
@@ -92,6 +95,47 @@ def test_ablate_ranks_descriptions_once_per_distinct_cand1(pipeline, surface, ra
     views = pipeline.ablate(record)
     assert calls == rankings
     assert views == [pipeline.link(record, frozenset(disabled)) for disabled in [(), *((t,) for t in TOGGLES)]]
+
+
+def test_derived_stage_rows_equal_the_reference():
+    reused = reranked = 0
+    for seed in range(5):
+        rng = random.Random(seed)
+        kb, at = random_world(rng)
+        p = make_pipeline(kb, at, RetrieverConfig(k_at=3, k_kb=3, k_desc=2))
+        for m in random_mentions(rng, 40):
+            full, *rows = p.ablate(m)
+            assert full == p.link(m) == oracles.link(p, m)
+            for toggle, row in zip(TOGGLES, rows):
+                disabled = frozenset((toggle,))
+                assert row == p.link(m, disabled) == oracles.link(p, m, disabled)
+                if toggle in ("at_bm25", "kb_bm25") and row.retrieval.cand1:
+                    reused += row.retrieval.cand1 == full.retrieval.cand1
+                    reranked += row.retrieval.cand1 != full.retrieval.cand1
+    # Both branches of the fine stage's reuse ran.
+    assert reused and reranked
+
+
+@pytest.mark.parametrize("stage,other", [("at_bm25", "kb"), ("kb_bm25", "at")])
+def test_disabled_stages_drop_candidates_and_votes(pipeline, stage, other):
+    m = mention("I bought an Apple phone", "Apple")
+    disabled = frozenset((stage,))
+    lm = pipeline.link(m, disabled)
+    dropped = stage.removesuffix("_bm25")
+    assert getattr(lm.retrieval, f"cand_{dropped}") == []
+    assert getattr(lm.retrieval, f"top1_{dropped}") is None
+    assert getattr(lm.votes, dropped) is None
+    assert lm.retrieval.cand1 == getattr(lm.retrieval, f"cand_{other}") != []
+    assert lm == oracles.link(pipeline, m, disabled)
+
+
+def test_a_toggled_link_raises_what_the_cascade_raises(fruit_kb, fruit_aliases):
+    # The retriever holds Q1 and the knowledge base does not: the cascade's
+    # fine stage looks Q1 up before the toggle drops that stage.
+    p = make_pipeline(fruit_kb, fruit_aliases)
+    p.kb = KnowledgeBase(entity for entity in fruit_kb if entity.id != "Q1")
+    with pytest.raises(StaleIndex):
+        p.link(mention("an Apple", "Apple"), frozenset(("desc_bm25",)))
 
 
 # -- one tokenization of the document per link --------------------------------

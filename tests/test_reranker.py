@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lexlink import reranker
 
 from lexlink.corpus import AliasEntry, AliasTable, Dataset, EntityRecord, KnowledgeBase, MentionRecord
 from lexlink.errors import (
@@ -785,6 +786,23 @@ def test_a_trained_model_and_its_store_are_the_recorded_bytes(tmp_path):
     precompute_entity_embeddings(model, kb).save(tmp_path / "entities.lxc")
     assert hashlib.sha256((tmp_path / "model.lxc").read_bytes()).hexdigest() == SMALL_MODEL_SHA256
     assert hashlib.sha256((tmp_path / "entities.lxc").read_bytes()).hexdigest() == SMALL_STORE_SHA256
+
+
+def test_saving_a_trained_model_draws_a_seeded_table_at_most_three_times(tmp_path, monkeypatch):
+    _, _, model = trained_small_model()
+    draws = 0
+    draw = reranker._seeded_embedding
+
+    def counting_draw(cfg, rng):
+        nonlocal draws
+        draws += 1
+        return draw(cfg, rng)
+
+    monkeypatch.setattr(reranker, "_seeded_embedding", counting_draw)
+    model.save(tmp_path / "model.lxc")
+    # The mention table written whole, the entity table's digest, and the
+    # stored entity rows compared with their draw.
+    assert draws <= 3
 
 
 def test_training_and_saving_hold_no_embedding_table(tmp_path):
