@@ -28,7 +28,6 @@ import math
 import mmap
 import os
 from contextlib import contextmanager, suppress
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,15 +36,6 @@ from .errors import ArtifactFormatError
 # Byte boundary the arrays start on. numpy copies rather than views an array
 # whose start is not a multiple of its item size.
 ALIGNMENT = 64
-
-# An array given as row chunks is written in pieces that end on multiples of
-# this many bytes of the file, so that the page cache can hold it in folios as
-# large as writing it whole would make, and a process that maps the file
-# faults its pages in as seldom. On ext4 (Linux 6.18), one link of each of the
-# 300 eval mentions of the benchmark's synth-short world, with the model just
-# loaded, took 29 page faults when the mention table had been written whole,
-# 515 when written in 64 KB chunks, and 33 in such pieces.
-WRITE_PIECE = 2**21
 
 
 @contextmanager
@@ -58,27 +48,13 @@ def decoding(path):
         raise ArtifactFormatError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
 
 
-class RowChunks(NamedTuple):
-    """An array given as its shape and its rows in consecutive chunks, so
-    that it is written without being held whole."""
-
-    shape: tuple[int, ...]
-    chunks: Iterable[np.ndarray]
-
-
-def write_container(path, tag: str, meta: dict, arrays: dict[str, np.ndarray | RowChunks]) -> None:
-    """Write ``arrays`` as C-ordered little-endian float64 after the header.
-    Each array is written from its own buffer; one stored otherwise is
-    converted while it is written, one array at a time. A ``RowChunks`` is
-    written through a buffer of ``WRITE_PIECE`` bytes, and must hold the
-    cells of its shape. The file is written beside ``path`` under a temporary
-    name, then renamed over it; on failure the temporary file is removed and
-    ``path`` is left as it was."""
-    shapes = {
-        name: tuple(array.shape if isinstance(array, RowChunks) else np.asarray(array, dtype="<f8").shape)
-        for name, array in arrays.items()
-    }
-    entries = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
+def write_container(path, tag: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` as C-ordered little-endian float64 after the header,
+    each in one write from its own buffer; one stored otherwise is converted
+    while it is written, one array at a time. The file is written beside
+    ``path`` under a temporary name, then renamed over it; on failure the
+    temporary file is removed and ``path`` is left as it was."""
+    entries = [{"name": name, "shape": list(np.asarray(array, dtype="<f8").shape)} for name, array in arrays.items()]
     header = json.dumps({"format": tag, "meta": meta, "arrays": entries}, ensure_ascii=False).encode("utf-8")
     if arrays:
         header += b" " * (-(len(header) + 1) % ALIGNMENT)
@@ -86,38 +62,13 @@ def write_container(path, tag: str, meta: dict, arrays: dict[str, np.ndarray | R
     try:
         with open(temporary, "xb") as fh:
             fh.write(header + b"\n")
-            for name, array in arrays.items():
-                if not isinstance(array, RowChunks):
-                    fh.write(np.ascontiguousarray(array, dtype="<f8").data)
-                elif (cells := _write_pieces(fh, array.chunks)) != math.prod(shapes[name]):
-                    raise ValueError(f"array {name!r} has {cells} cells for shape {list(shapes[name])}")
+            for array in arrays.values():
+                fh.write(np.ascontiguousarray(array, dtype="<f8").data)
         os.replace(temporary, path)
     except BaseException:
         with suppress(FileNotFoundError):
             os.remove(temporary)
         raise
-
-
-def _write_pieces(fh, chunks: Iterable[np.ndarray]) -> int:
-    """Write ``chunks`` as float64 through a buffer of ``WRITE_PIECE`` bytes
-    that is written out whenever it reaches a multiple of ``WRITE_PIECE`` in
-    the file; the number of cells written."""
-    buffer = np.empty(WRITE_PIECE, dtype=np.uint8)
-    filled = cells = 0
-    for chunk in chunks:
-        chunk = np.ascontiguousarray(chunk, dtype="<f8")
-        cells += chunk.size
-        data = chunk.reshape(-1).view(np.uint8)
-        while data.size:
-            room = WRITE_PIECE - (fh.tell() + filled) % WRITE_PIECE
-            taken = min(room, data.size)
-            buffer[filled : filled + taken] = data[:taken]
-            filled, data = filled + taken, data[taken:]
-            if taken == room:
-                fh.write(buffer[:filled].data)
-                filled = 0
-    fh.write(buffer[:filled].data)
-    return cells
 
 
 def read_container(path, tag: str, rerun: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:

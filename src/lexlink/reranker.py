@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .artifacts import RowChunks, decoding, read_container, write_container
+from .artifacts import decoding, read_container, write_container
 from .corpus import Dataset, EntityRecord, KnowledgeBase, MentionRecord
 from .errors import (
     DimensionMismatch,
@@ -51,7 +51,8 @@ STORE_FORMAT_TAG = "lexlink.entity-store/3"
 
 # Largest (hash_buckets + dim) * dim accepted: the float64 embedding table and
 # projection of one of the model's two encoders, 1 GiB at this limit. Training
-# and saving allocate no table; embedding entities draws the entity table.
+# allocates no table; saving a trained model draws the mention table and
+# embedding entities the entity table.
 MAX_ENCODER_CELLS = 2**27
 
 # Reserved marker tokens. Real tokens are lowercase alphanumeric runs or CJK
@@ -66,7 +67,8 @@ _MARKERS = frozenset((MENTION_START, MENTION_END, NAME_DESC_SEP))
 _IN_SPAN_PREFIX = "[IN]"
 
 # Doubles per chunk in which an encoder's seeded embedding table is drawn and
-# read: 64 KB, so that training, saving or digesting a model holds no table.
+# read: 64 KB, so that training a model, or comparing or digesting its entity
+# table, holds no table.
 EMBEDDING_DRAW_CELLS = 2**13
 
 # Entries of the token -> bucket ids memo; at ≈1 KB each it holds at most
@@ -325,10 +327,11 @@ class DualEncoder:
     table ``cfg.seed`` draws. ``initialize`` gives the first form for both
     and ``train`` the second; ``load`` maps the mention encoder whole and
     keeps the entity encoder as its file stores it. Reading
-    ``mention_params`` or ``entity_params`` draws a table once and writes the
-    rows over it, while ``save`` and ``entity_encoder_digest`` read it one
-    chunk at a time. Linking reads the entity store, never the entity
-    encoder, so only embedding entities pays for the entity draw.
+    ``mention_params`` or ``entity_params`` draws a table once, writes the
+    rows over it and keeps it; ``save`` does so for the mention table without
+    keeping it, and reads the entity table, as ``entity_encoder_digest``
+    does, one chunk at a time. Linking reads the entity store, never the
+    entity encoder, so only embedding entities pays for the entity draw.
     """
 
     def __init__(
@@ -377,8 +380,10 @@ class DualEncoder:
     def save(self, path) -> None:
         """Write the mention encoder whole, and of the entity encoder the
         projection, the bias and the embedding rows whose bits differ from
-        the table ``cfg.seed`` draws, with their indices in the header. Each
-        table is read one chunk at a time, so neither is held whole."""
+        the table ``cfg.seed`` draws, with their indices in the header. A
+        mention encoder held as its seed plus rows is rebuilt for the write
+        and freed after it, not kept; the entity table is read one chunk at
+        a time."""
         cfg, mention, entity = self.cfg, self._mention_params, self._entity_params
         indices, rows = _changed_rows(cfg, entity)
         meta = {
@@ -388,9 +393,7 @@ class DualEncoder:
             "entity_row_indices": indices.tolist(),
         }
         arrays = {
-            "mention.embedding": mention.embedding if isinstance(mention, EncoderParams) else RowChunks(
-                (cfg.hash_buckets, cfg.dim), (chunk for _, chunk in _table_chunks(mention, cfg))
-            ),
+            "mention.embedding": self._whole(mention).embedding,
             "mention.projection": mention.projection,
             "mention.bias": mention.bias,
             "entity.projection": entity.projection,

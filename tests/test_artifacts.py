@@ -1,12 +1,10 @@
 import errno
-import io
 import json
 
 import numpy as np
 import pytest
 
-from lexlink import artifacts
-from lexlink.artifacts import ALIGNMENT, RowChunks, decoding, read_container, write_container
+from lexlink.artifacts import ALIGNMENT, decoding, read_container, write_container
 from lexlink.errors import ArtifactFormatError, StaleStore
 
 
@@ -43,44 +41,6 @@ def test_round_trip_keeps_meta_names_shapes_and_bytes(tmp_path):
         assert loaded[name].flags.writeable
     write_container(again, "test/1", meta, loaded)
     assert again.read_bytes() == path.read_bytes()
-
-
-def test_an_array_given_as_row_chunks_is_written_as_the_whole_array(tmp_path):
-    table = np.arange(35.0).reshape(7, 5)
-    whole, chunked = tmp_path / "whole.lxc", tmp_path / "chunked.lxc"
-    write_container(whole, "test/1", {}, {"a": table, "b": np.ones(2)})
-    write_container(chunked, "test/1", {}, {"a": RowChunks((7, 5), (table[lo : lo + 3] for lo in range(0, 7, 3))),
-                                            "b": np.ones(2)})
-    assert chunked.read_bytes() == whole.read_bytes()
-
-
-def test_row_chunks_are_written_in_pieces_that_end_on_piece_boundaries(monkeypatch):
-    monkeypatch.setattr(artifacts, "WRITE_PIECE", 64)
-
-    class Recording(io.BytesIO):
-        def write(self, data):
-            written = super().write(data)
-            ends.append(self.tell())
-            return written
-
-    ends: list[int] = []
-    fh = Recording()
-    fh.write(b"h" * 24)
-    table = np.arange(60.0).reshape(12, 5)
-    assert artifacts._write_pieces(fh, (table[lo : lo + 5] for lo in range(0, 12, 5))) == table.size
-    assert fh.getvalue() == b"h" * 24 + table.tobytes()
-    assert ends[1:-1] == list(range(64, 24 + table.nbytes, 64)) and ends[-1] == 24 + table.nbytes
-
-
-@pytest.mark.parametrize("rows", [6, 8], ids=["too-few", "too-many"])
-def test_row_chunks_that_do_not_fill_their_shape_write_nothing(tmp_path, rows):
-    path = tmp_path / "a.lxc"
-    write_container(path, "test/1", {"old": True}, {})
-    before = path.read_bytes()
-    with pytest.raises(ValueError, match=f"array 'a' has {rows * 5} cells for shape \\[7, 5\\]"):
-        write_container(path, "test/1", {}, {"a": RowChunks((7, 5), [np.zeros((rows, 5))])})
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["a.lxc"]
 
 
 def test_arrays_start_aligned_after_a_padded_header(tmp_path):

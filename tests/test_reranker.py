@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lexlink import reranker
+from lexlink import artifacts, reranker
 
 from lexlink.corpus import AliasEntry, AliasTable, Dataset, EntityRecord, KnowledgeBase, MentionRecord
 from lexlink.errors import (
@@ -805,22 +805,78 @@ def test_saving_a_trained_model_draws_a_seeded_table_at_most_three_times(tmp_pat
     assert draws <= 3
 
 
-def test_training_and_saving_hold_no_embedding_table(tmp_path):
+def large_training_inputs():
+    """A small world and an encoder config whose mention table is 64 MB."""
     kb, at, ds = build_synthetic(SynthSpec(
         seed=3, n_entities=20, n_aliases=25, n_mentions=30, ambiguity_rate=0.2, tail_rate=0.2,
     ))
-    retriever = Retriever.build(kb, at)
     ec = EncoderConfig(hash_buckets=2**17, dim=64, seed=4)
-    table_bytes = ec.hash_buckets * ec.dim * 8
+    return Dataset(ds.records, split="train"), kb, Retriever.build(kb, at), ec
+
+
+@lru_cache(maxsize=None)
+def trained_large_model() -> DualEncoder:
+    train_ds, kb, retriever, ec = large_training_inputs()
+    return train(train_ds, kb, retriever, TrainConfig(seed=4), ec)[0]
+
+
+def test_training_holds_no_embedding_table():
+    train_ds, kb, retriever, ec = large_training_inputs()
     tracemalloc.start()
     try:
-        model, _ = train(Dataset(ds.records, split="train"), kb, retriever, TrainConfig(seed=4), ec)
-        model.save(tmp_path / "model.lxc")
+        train(train_ds, kb, retriever, TrainConfig(seed=4), ec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.05 * table_bytes
-    assert DualEncoder.load(tmp_path / "model.lxc").mention_params.embedding.shape == (ec.hash_buckets, ec.dim)
+    assert peak < 0.05 * ec.hash_buckets * ec.dim * 8
+
+
+def test_saving_a_trained_model_holds_its_mention_table_once_and_keeps_none(tmp_path):
+    model = trained_large_model()
+    cfg = model.cfg
+    table_bytes = cfg.hash_buckets * cfg.dim * 8
+    tracemalloc.start()
+    try:
+        model.save(tmp_path / "model.lxc")
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The mention table is rebuilt for its one write and freed after it.
+    assert peak < 1.1 * table_bytes
+    assert left < 0.05 * table_bytes
+    assert isinstance(model._mention_params, reranker._SeededParams)
+    assert DualEncoder.load(tmp_path / "model.lxc").mention_params.embedding.shape == (cfg.hash_buckets, cfg.dim)
+
+
+def test_saving_a_trained_model_writes_the_header_and_each_array_once(tmp_path, monkeypatch):
+    sizes: list[int] = []
+
+    class CountingFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def write(self, data):
+            sizes.append(memoryview(data).nbytes)
+            return self.fh.write(data)
+
+    model = trained_large_model()
+    with monkeypatch.context() as patch:
+        patch.setattr(artifacts, "open", lambda *args: CountingFile(open(*args)), raising=False)
+        model.save(tmp_path / "model.lxc")
+    _, arrays = artifacts.read_container(tmp_path / "model.lxc", reranker.MODEL_FORMAT_TAG)
+    assert len(sizes) == 7
+    assert sizes[1:] == [array.nbytes for array in arrays.values()]
+    assert sizes[1] == model.cfg.hash_buckets * model.cfg.dim * 8
+    assert sum(sizes) == (tmp_path / "model.lxc").stat().st_size
 
 
 def test_loading_a_model_reads_none_of_its_arrays(tmp_path):
