@@ -43,6 +43,25 @@ def test_round_trip_keeps_meta_names_shapes_and_bytes(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("dtype", ["<f4", "<i4", ">f8"], ids=["float32", "int32", "big-endian"])
+def test_an_array_stored_otherwise_is_written_as_its_float64_bytes(tmp_path, dtype):
+    table = np.arange(35.0).reshape(7, 5)
+    whole, converted = tmp_path / "whole.lxc", tmp_path / "converted.lxc"
+    write_container(whole, "test/1", {}, {"a": table, "b": np.ones(2)})
+    write_container(converted, "test/1", {}, {"a": table.astype(dtype), "b": np.ones(2)})
+    assert converted.read_bytes() == whole.read_bytes()
+
+
+def test_an_array_that_cannot_be_converted_writes_nothing(tmp_path):
+    path = tmp_path / "a.lxc"
+    write_container(path, "test/1", {"old": True}, {})
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="could not convert"):
+        write_container(path, "test/1", {}, {"a": np.zeros(3), "b": np.array(["x"])})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.lxc"]
+
+
 def test_arrays_start_aligned_after_a_padded_header(tmp_path):
     path = tmp_path / "a.lxc"
     write_container(path, "test/1", {"k": "é" * 7}, {"a": np.arange(3.0), "b": np.ones((2, 2))})
