@@ -85,7 +85,11 @@ def read_container(path, tag: str, rerun: str | None = None) -> tuple[dict, dict
         size, end = os.fstat(fh.fileno()).st_size, len(line)
         spans: dict[str, tuple[tuple[int, ...], int]] = {}
         for entry in header["arrays"]:
-            name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
+            name, shape = entry["name"], tuple(entry["shape"])
+            if not all(type(n) is int for n in shape):  # so no float, bool or string is converted
+                raise TypeError(f"array {name!r} has a shape entry that is not an integer: {entry['shape']!r}")
+            if name in spans:
+                raise ValueError(f"array {name!r} is stored twice")
             nbytes = 8 * math.prod(shape)
             if nbytes > size - end:
                 raise ArtifactFormatError(f"{path}: truncated array {name!r}")

@@ -51,8 +51,8 @@ STORE_FORMAT_TAG = "lexlink.entity-store/3"
 
 # Largest (hash_buckets + dim) * dim accepted: the float64 embedding table and
 # projection of one of the model's two encoders, 1 GiB at this limit. Training
-# allocates no table; saving a trained model draws the mention table and
-# embedding entities the entity table.
+# holds only the rows its examples touch; saving a trained model draws the
+# mention table whole and embedding entities the entity table.
 MAX_ENCODER_CELLS = 2**27
 
 # Reserved marker tokens. Real tokens are lowercase alphanumeric runs or CJK
@@ -66,9 +66,9 @@ _MARKERS = frozenset((MENTION_START, MENTION_END, NAME_DESC_SEP))
 # plain grams (no brackets in tokenizer output) or marker features.
 _IN_SPAN_PREFIX = "[IN]"
 
-# Doubles per chunk in which an encoder's seeded embedding table is drawn and
-# read: 64 KB, so that training a model, or comparing or digesting its entity
-# table, holds no table.
+# Doubles per chunk in which an encoder's embedding table is drawn and read,
+# whole or as held rows over its seeded draw: 64 KB, so that training a model,
+# or comparing or digesting its entity table, holds no table.
 EMBEDDING_DRAW_CELLS = 2**13
 
 # Entries of the token -> bucket ids memo; at ≈1 KB each it holds at most
@@ -208,9 +208,12 @@ def sequence_features(seq: MarkedSequence, cfg: EncoderConfig) -> SequenceFeatur
 
 @dataclass
 class EncoderParams:
-    embedding: np.ndarray  # (hash_buckets, dim)
+    embedding: np.ndarray  # (hash_buckets, dim), or the rows at indices, in order
     projection: np.ndarray  # (dim, dim)
     bias: np.ndarray  # (dim,)
+    # Ascending row ids, each other row being the one the encoder's seed
+    # stream draws; None when embedding is the whole table.
+    indices: np.ndarray | None = None
 
 
 def _stream(cfg: EncoderConfig, encoder: int) -> np.random.Generator:
@@ -249,50 +252,51 @@ def _initial_params(cfg: EncoderConfig, encoder: int, indices: np.ndarray) -> En
     return EncoderParams(embedding=rows, projection=projection, bias=np.zeros(cfg.dim))
 
 
-@dataclass(frozen=True)
-class _SeededParams:
-    """An encoder as its seed stream plus rows: its embedding table is the
-    stream's draw with ``rows`` written at ``indices``."""
-
-    encoder: int  # the seed stream, as ``_stream`` takes it
-    indices: np.ndarray  # ascending
-    rows: np.ndarray  # (len(indices), dim)
-    projection: np.ndarray
-    bias: np.ndarray
-
-    def rebuild(self, cfg: EncoderConfig) -> EncoderParams:
-        embedding = np.empty((cfg.hash_buckets, cfg.dim))
-        for lo, rows in _table_chunks(self, cfg):
-            embedding[lo : lo + len(rows)] = rows
-        return EncoderParams(embedding=embedding, projection=self.projection, bias=self.bias)
-
-
-def _table_chunks(params: EncoderParams | _SeededParams, cfg: EncoderConfig) -> Iterator[tuple[int, np.ndarray]]:
-    """An encoder's embedding table as ``(first row, rows)`` chunks, in order,
-    however it is held: slices of a whole table, or drawn chunks with the
-    stored rows written over them. No more than one chunk is made at a time."""
-    if isinstance(params, EncoderParams):
+def _table_chunks(params: EncoderParams, cfg: EncoderConfig, encoder: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The embedding table of the mention (0) or the entity (1) encoder as
+    ``(first row, rows)`` chunks, in order: slices of a whole table, or drawn
+    chunks with the held rows written over them. No more than one chunk is
+    made at a time."""
+    if params.indices is None:
         step = _chunk_rows(cfg)
         yield from ((lo, params.embedding[lo : lo + step]) for lo in range(0, cfg.hash_buckets, step))
         return
-    for lo, chunk in _seeded_embedding(cfg, _stream(cfg, params.encoder)):
+    for lo, chunk in _seeded_embedding(cfg, _stream(cfg, encoder)):
         first, last = np.searchsorted(params.indices, (lo, lo + len(chunk)))
-        chunk[params.indices[first:last] - lo] = params.rows[first:last]
+        chunk[params.indices[first:last] - lo] = params.embedding[first:last]
         yield lo, chunk
 
 
-def _changed_rows(cfg: EncoderConfig, params: EncoderParams | _SeededParams) -> tuple[np.ndarray, np.ndarray]:
+def _whole(params: EncoderParams, cfg: EncoderConfig, encoder: int) -> EncoderParams:
+    """``params`` with its embedding table whole: ``params`` itself if it is,
+    else drawn and written over by the held rows."""
+    if params.indices is None:
+        return params
+    embedding = np.empty((cfg.hash_buckets, cfg.dim))
+    for lo, rows in _table_chunks(params, cfg, encoder):
+        embedding[lo : lo + len(rows)] = rows
+    return EncoderParams(embedding, params.projection, params.bias)
+
+
+def _changed_rows(cfg: EncoderConfig, params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
     """The ascending indices of the rows of the entity table of ``params``
     whose bits differ from its seeded draw, and those rows. Of an encoder
-    held as its seed plus rows, only the stored rows can differ, and they are
-    compared with the draw at their own indices; a whole table is compared
-    one chunk at a time."""
-    if isinstance(params, _SeededParams):
+    that holds some rows, only those can differ, and they are compared with
+    the draw at their own indices; a whole table is compared one chunk at a
+    time.
+
+    Held rows are compared rather than stored as they are, because training
+    holds rows whose bits it never changes: a bucket that is the same share
+    of every candidate of each example (say, the ``[NAME_DESC]`` marker's
+    when the candidates are equally long) gets an entity gradient that
+    cancels across the softmax to far below a row's last bit (≈8e-19).
+    Storing such rows would change the file."""
+    if params.indices is not None:
         start = _initial_params(cfg, 1, params.indices).embedding
-        changed = np.flatnonzero((params.rows.view(np.uint64) != start.view(np.uint64)).any(axis=1))
-        return params.indices[changed], params.rows[changed]
+        changed = np.flatnonzero((params.embedding.view(np.uint64) != start.view(np.uint64)).any(axis=1))
+        return params.indices[changed], params.embedding[changed]
     indices, rows = [np.empty(0, dtype=np.intp)], [np.empty((0, cfg.dim))]
-    for (lo, table), (_, start) in zip(_table_chunks(params, cfg), _seeded_embedding(cfg, _stream(cfg, 1))):
+    for (lo, table), (_, start) in zip(_table_chunks(params, cfg, 1), _seeded_embedding(cfg, _stream(cfg, 1))):
         changed = np.flatnonzero((table.view(np.uint64) != start.view(np.uint64)).any(axis=1))
         indices.append(lo + changed)
         rows.append(table[changed])
@@ -322,22 +326,22 @@ def score_pair(y_m: np.ndarray, y_e: np.ndarray) -> float:
 class DualEncoder:
     """The mention and entity encoders and their config.
 
-    Each encoder is held whole (``EncoderParams``) or as its seed plus rows:
-    the projection, the bias, and the embedding rows that may differ from the
-    table ``cfg.seed`` draws. ``initialize`` gives the first form for both
-    and ``train`` the second; ``load`` maps the mention encoder whole and
-    keeps the entity encoder as its file stores it. Reading
-    ``mention_params`` or ``entity_params`` draws a table once, writes the
-    rows over it and keeps it; ``save`` does so for the mention table without
-    keeping it, and reads the entity table, as ``entity_encoder_digest``
-    does, one chunk at a time. Linking reads the entity store, never the
-    entity encoder, so only embedding entities pays for the entity draw.
+    Each encoder is an ``EncoderParams``: its embedding table whole, or
+    with ``indices``, only the rows that may differ from the table
+    ``cfg.seed`` draws. ``initialize`` holds both tables whole and ``train``
+    holds rows; ``load`` maps the mention table whole and keeps the entity
+    rows its file stores. Reading ``mention_params`` or ``entity_params``
+    draws a held-rows table once, writes the rows over it and keeps it;
+    ``save`` does so for the mention table without keeping it, and reads the
+    entity table, as ``entity_encoder_digest`` does, one chunk at a time.
+    Linking reads the entity store, never the entity encoder, so only
+    embedding entities pays for the entity draw.
     """
 
     def __init__(
         self,
-        mention_params: EncoderParams | _SeededParams,
-        entity_params: EncoderParams | _SeededParams,
+        mention_params: EncoderParams,
+        entity_params: EncoderParams,
         cfg: EncoderConfig,
         train_seed: int | None = None,
         entity_digest: str | None = None,
@@ -350,17 +354,14 @@ class DualEncoder:
         # from, so that a store can be checked without reading the entity arrays.
         self.entity_digest = entity_digest
 
-    def _whole(self, params: EncoderParams | _SeededParams) -> EncoderParams:
-        return params.rebuild(self.cfg) if isinstance(params, _SeededParams) else params
-
     @property
     def mention_params(self) -> EncoderParams:
-        self._mention_params = self._whole(self._mention_params)
+        self._mention_params = _whole(self._mention_params, self.cfg, 0)
         return self._mention_params
 
     @property
     def entity_params(self) -> EncoderParams:
-        self._entity_params = self._whole(self._entity_params)
+        self._entity_params = _whole(self._entity_params, self.cfg, 1)
         return self._entity_params
 
     @classmethod
@@ -381,9 +382,8 @@ class DualEncoder:
         """Write the mention encoder whole, and of the entity encoder the
         projection, the bias and the embedding rows whose bits differ from
         the table ``cfg.seed`` draws, with their indices in the header. A
-        mention encoder held as its seed plus rows is rebuilt for the write
-        and freed after it, not kept; the entity table is read one chunk at
-        a time."""
+        mention table held as rows is drawn whole for the write and freed
+        after it, not kept; the entity table is read one chunk at a time."""
         cfg, mention, entity = self.cfg, self._mention_params, self._entity_params
         indices, rows = _changed_rows(cfg, entity)
         meta = {
@@ -393,7 +393,7 @@ class DualEncoder:
             "entity_row_indices": indices.tolist(),
         }
         arrays = {
-            "mention.embedding": self._whole(mention).embedding,
+            "mention.embedding": _whole(mention, cfg, 0).embedding,
             "mention.projection": mention.projection,
             "mention.bias": mention.bias,
             "entity.projection": entity.projection,
@@ -435,9 +435,9 @@ class DualEncoder:
                 if arrays[name].shape != shape:
                     raise ValueError(f"array {name} has shape {arrays[name].shape}, expected {shape}")
             mention = EncoderParams(*(arrays[f"mention.{name}"] for name in ("embedding", "projection", "bias")))
-            entity = _SeededParams(
-                1, np.array(indices, dtype=np.intp), arrays["entity.embedding_rows"], arrays["entity.projection"],
-                arrays["entity.bias"],
+            entity = EncoderParams(
+                arrays["entity.embedding_rows"], arrays["entity.projection"], arrays["entity.bias"],
+                np.array(indices, dtype=np.intp),
             )
             return cls(mention, entity, cfg, train_seed=meta.get("train_seed"), entity_digest=digest)
 
@@ -673,31 +673,26 @@ def train(
     draw into a table of their own, in ascending bucket order. Renumbering
     the examples' buckets into that table keeps their order, so every step
     below gathers, sums and updates the same floats in the same order as on
-    the whole table. The model returned holds each encoder as its seed plus
-    those rows.
+    the whole table. The model returned holds those rows of each encoder,
+    with their bucket ids as ``indices``.
     """
     examples = build_training_examples(ds, kb, retriever, tc, ec)
     mention_ids, entity_ids, examples = _renumbered(examples)
     # Tables of the touched rows alone: row i is the i-th bucket id of its side.
-    compact = DualEncoder(_initial_params(ec, 0, mention_ids), _initial_params(ec, 1, entity_ids), ec)
-    initial = dataset_loss(compact, examples)
+    model = DualEncoder(_initial_params(ec, 0, mention_ids), _initial_params(ec, 1, entity_ids), ec, train_seed=tc.seed)
+    initial = dataset_loss(model, examples)
     order_rng = np.random.default_rng([tc.seed, 29])
     for _ in range(tc.epochs):
         order = order_rng.permutation(len(examples))
         for lo in range(0, len(order), tc.batch_size):
             batch = [examples[i] for i in order[lo : lo + tc.batch_size]]
-            _, grads_m, grads_e = batch_loss_and_grads(compact, batch)
-            _apply_grads(compact.mention_params, grads_m, tc.learning_rate)
-            _apply_grads(compact.entity_params, grads_e, tc.learning_rate)
-    final = dataset_loss(compact, examples)
-    mp, ep = compact.mention_params, compact.entity_params
-    trained = DualEncoder(
-        _SeededParams(0, mention_ids, mp.embedding, mp.projection, mp.bias),
-        _SeededParams(1, entity_ids, ep.embedding, ep.projection, ep.bias),
-        ec,
-        train_seed=tc.seed,
-    )
-    return trained, TrainStats(initial_loss=initial, final_loss=final, examples=len(examples), epochs=tc.epochs)
+            _, grads_m, grads_e = batch_loss_and_grads(model, batch)
+            _apply_grads(model.mention_params, grads_m, tc.learning_rate)
+            _apply_grads(model.entity_params, grads_e, tc.learning_rate)
+    final = dataset_loss(model, examples)
+    # Set after the last read: read through the model, a table with indices is drawn whole.
+    model.mention_params.indices, model.entity_params.indices = mention_ids, entity_ids
+    return model, TrainStats(initial_loss=initial, final_loss=final, examples=len(examples), epochs=tc.epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +744,7 @@ def entity_encoder_digest(model: DualEncoder) -> str:
     and a store record it, so that a store embedded by another model can be
     told apart. The embedding table is read one chunk at a time."""
     params = model._entity_params
-    table = (chunk for _, chunk in _table_chunks(params, model.cfg))
+    table = (chunk for _, chunk in _table_chunks(params, model.cfg, 1))
     crc = 0
     for array in itertools.chain(table, (params.projection, params.bias)):
         crc = zlib.crc32(np.ascontiguousarray(array, dtype="<f8").data, crc)

@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 print. Every tolerance is pinned in the assertion that enforces it.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import math
 import random
@@ -309,11 +311,20 @@ def test_criterion_9_recall_monotonicity():
 
 
 def run_cli_workflow(root):
-    data = root / "data"
-    assert main([
-        "synth", "--seed", "5", "--entities", "40", "--aliases", "60",
-        "--mentions", "120", "--ambiguity", "0.4", "--tail", "0.3", "--out", str(data),
-    ]) == 0
+    """Run the seven commands on one small synth world. Each command's
+    stdout, with ``root`` written as ``<root>``, goes to
+    ``art/stdout/<command>.txt``."""
+    data, stdout = root / "data", root / "art" / "stdout"
+    stdout.mkdir(parents=True)
+
+    def run(command, *flags):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, *flags]) == 0, command
+        (stdout / f"{command}.txt").write_text(out.getvalue().replace(str(root), "<root>"), encoding="utf-8")
+
+    run("synth", "--seed", "5", "--entities", "40", "--aliases", "60",
+        "--mentions", "120", "--ambiguity", "0.4", "--tail", "0.3", "--out", str(data))
     lines = (data / "mentions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
     (data / "train.jsonl").write_text("".join(lines[:60]), encoding="utf-8")
     (data / "eval.jsonl").write_text("".join(lines[60:]), encoding="utf-8")
@@ -328,7 +339,7 @@ def run_cli_workflow(root):
         "--epochs", "2", "--seed", "33",
     ]
     for command in ("build-index", "train", "embed-entities", "predict", "evaluate", "ablate"):
-        assert main([command, *flags]) == 0, command
+        run(command, *flags)
     return root / "art"
 
 
@@ -349,9 +360,10 @@ def test_criterion_10_pipeline_determinism(tmp_path):
            not differing, f"{len(targets)} files compared")
 
 
-# SHA-256 of every file ``run_cli_workflow`` writes. A change that keeps the
-# outputs byte-identical keeps these; one that means to change them records
-# the new digests and says why. They hold as long as numpy's seeded stream does.
+# SHA-256 of every file ``run_cli_workflow`` writes, the stdout of its seven
+# commands included. A change that keeps the outputs byte-identical keeps
+# these; one that means to change them records the new digests and says why.
+# They hold as long as numpy's seeded stream does.
 WORKFLOW_SHA256 = {
     "at.json": "8f9edefc448cdd779b4b0d94993dd01c4882b6a5418c5308ae3d06213f406ce4",
     "kb.json": "9a8a22e88cd03ccf24aeab828ec93aa1042bbe0c77281966981db326ef39563e",
@@ -364,6 +376,13 @@ WORKFLOW_SHA256 = {
     "reports/accuracy.json": "b1b8a6f62eca1110d137c93c92cef482f7f5de826ad2903586ac5f467030442d",
     "reports/ablation.txt": "ae690f8c7087220feb5d682562eb7be2f8b517c29f169ad51fa3e4347a7a8822",
     "reports/ablation.json": "4dd8fa71f354f789f0012bd04a26f3adff3d4edefcf7c96f02c6f433b5878b17",
+    "stdout/synth.txt": "09e0ac704717b94dc53163508c951a892bfc831e997bca849d9112f60e36e6c4",
+    "stdout/build-index.txt": "ccd9ab836e000e1bcb3cfe8b4af9085a0bac68fa09cb1bf0563470b961285d12",
+    "stdout/train.txt": "5bc1b0698c373e69680a9b7909aee68d3e337ac1e49b134f0428c75928a2d353",
+    "stdout/embed-entities.txt": "50db2380119dcdb57a85c975084f102bb24c142481ed8df352763fa24f2b926f",
+    "stdout/predict.txt": "9db41943b18f11a4dbb21d2412b60fcd744b13d78c9dce87830360f4fe894bca",
+    "stdout/evaluate.txt": "e8ac5dd4afe1315accf93f377c662f45f65042e414a8b4a08ddbc918dd271636",
+    "stdout/ablate.txt": "09a3914fc29068fc2914183c7510f8ec8d5660f1745cd7b8379bd9a3352a483b",
 }
 
 

@@ -166,10 +166,10 @@ def test_a_cut_payload_is_truncated(tmp_path):
         (b'{"format": "test/1", "meta": {}\n', "JSONDecodeError"),
         (b'["test/1"]\n', "AttributeError"),
         (b"[" * 100_000 + b"\n", "RecursionError"),
-        (b'{"format": "test/1", "meta": {}, "arrays": [{"name": "a", "shape": [Infinity]}]}\n', "OverflowError"),
+        (b'{"format": "test/1", "meta": {}, "arrays": [{"name": "a", "shape": [Infinity]}]}\n', "TypeError"),
         (b'{"format": "test/1", "meta": {}}\n', "KeyError"),
         (b'{"format": "test/1", "meta": {}, "arrays": [{"name": "a", "shape": [-1, 2]}]}\n', "ValueError"),
-        (b'{"format": "test/1", "meta": {}, "arrays": [{"name": "a", "shape": ["x"]}]}\n', "ValueError"),
+        (b'{"format": "test/1", "meta": {}, "arrays": [{"name": "a", "shape": ["x"]}]}\n', "TypeError"),
         (b'{"format": "test/1", "meta": {}, "arrays": [{"name": [], "shape": []}]}\n' + bytes(8), "TypeError"),
     ],
 )
@@ -179,6 +179,21 @@ def test_a_malformed_header_names_the_path(tmp_path, content, cause):
     with pytest.raises(ArtifactFormatError) as info:
         read_container(path, "test/1")
     assert str(info.value).startswith(f"{path}: malformed artifact ({cause}: ")
+
+
+@pytest.mark.parametrize(
+    "field,value,cause",
+    [("shape", [2.9, 3], "TypeError"), ("shape", [True, 3], "TypeError"), ("shape", ["2", 3], "TypeError"),
+     ("name", "a", "ValueError")],
+    ids=["float-dimension", "bool-dimension", "string-dimension", "repeated-name"],
+)
+def test_a_shape_entry_that_is_not_an_integer_or_a_repeated_name_is_refused(tmp_path, field, value, cause):
+    path = tmp_path / "a.lxc"
+    write_container(path, "test/1", {}, {"a": np.zeros((2, 3)), "b": np.ones((2, 3))})
+    rewrite_header(path, lambda header: header["arrays"][1].__setitem__(field, value))
+    with pytest.raises(ArtifactFormatError) as info:
+        read_container(path, "test/1")
+    assert str(info.value).startswith(f"{path}: malformed artifact ({cause}: array ")
 
 
 def test_decoding_names_the_path_and_lets_data_errors_through():

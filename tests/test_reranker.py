@@ -718,6 +718,46 @@ def test_initial_tables_are_bitwise_one_uniform_draw_of_their_seed_stream():
         assert params.projection.tobytes() == projection.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_held_rows_read_as_one_uniform_draw_with_the_rows_written_over_it(data):
+    dim = data.draw(st.integers(1, 40), label="dim")
+    step = reranker.EMBEDDING_DRAW_CELLS // dim  # rows per drawn chunk
+    hash_buckets = data.draw(st.integers(1, 3 * step + 1), label="hash_buckets")
+    cfg = EncoderConfig(dim=dim, hash_buckets=hash_buckets, seed=data.draw(st.integers(0, 2**32), label="seed"))
+    stream = data.draw(st.sampled_from([0, 1]), label="stream")
+    edges = [row for lo in range(0, hash_buckets + 1, step) for row in (lo - 1, lo) if 0 <= row < hash_buckets]
+    some = st.sets(st.sampled_from(edges) | st.integers(0, hash_buckets - 1))
+    held = data.draw(st.just(set()) | st.just(set(range(hash_buckets))) | some, label="indices")
+    indices = np.array(sorted(held), dtype=np.intp)
+    bound = 1.0 / math.sqrt(dim)
+
+    def draw(encoder):
+        return np.random.default_rng([cfg.seed, encoder]).uniform(-bound, bound, size=(hash_buckets, dim))
+
+    # Each held row is its draw, or its draw with one cell moved by one bit.
+    table = draw(stream)
+    rows = table[indices]
+    share = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="changed share")
+    changed = np.random.default_rng(data.draw(st.integers(0, 2**32), label="mask seed")).random(indices.size) < share
+    column = data.draw(st.integers(0, dim - 1), label="column")
+    rows[changed, column] = np.nextafter(rows[changed, column], np.inf)
+    params = reranker.EncoderParams(rows, np.eye(dim), np.zeros(dim), indices)
+
+    whole = reranker._whole(params, cfg, stream)
+    table[indices] = rows
+    assert whole.indices is None and whole.embedding.tobytes() == table.tobytes()
+
+    # Held rows are compared with the entity draw at their own indices.
+    differ = (rows.view(np.uint64) != draw(1)[indices].view(np.uint64)).any(axis=1)
+    got_indices, got_rows = reranker._changed_rows(cfg, params)
+    assert got_indices.tolist() == indices[differ].tolist() and got_rows.tobytes() == rows[differ].tobytes()
+    if stream == 1:
+        assert differ.tolist() == changed.tolist()
+        whole_indices, whole_rows = reranker._changed_rows(cfg, whole)
+        assert whole_indices.tolist() == got_indices.tolist() and whole_rows.tobytes() == got_rows.tobytes()
+
+
 def entity_arrays(model: DualEncoder) -> list[bytes]:
     params = model.entity_params
     return [array.tobytes() for array in (params.embedding, params.projection, params.bias)]
@@ -844,7 +884,7 @@ def test_saving_a_trained_model_holds_its_mention_table_once_and_keeps_none(tmp_
     # The mention table is rebuilt for its one write and freed after it.
     assert peak < 1.1 * table_bytes
     assert left < 0.05 * table_bytes
-    assert isinstance(model._mention_params, reranker._SeededParams)
+    assert model._mention_params.indices is not None
     assert DualEncoder.load(tmp_path / "model.lxc").mention_params.embedding.shape == (cfg.hash_buckets, cfg.dim)
 
 
