@@ -52,15 +52,10 @@ class TermCounts(NamedTuple):
 
     @classmethod
     def of(cls, doc: TokenStream) -> "TermCounts":
-        return cls(len(doc), _term_frequencies(doc))
-
-
-def _term_frequencies(doc: TokenStream) -> dict[str, int]:
-    # Linear like a Counter, and cheaper for short names and aliases.
-    tfs = dict.fromkeys(doc, 0)
-    for token in doc:
-        tfs[token] += 1
-    return tfs
+        tfs = dict.fromkeys(doc, 0)
+        for token in doc:
+            tfs[token] += 1
+        return cls(len(doc), tfs)
 
 
 def _idf(doc_count: int, df: int) -> float:
@@ -99,6 +94,10 @@ class Bm25Index:
         self.contributions: dict[str, dict[int, float]] = {}
         for term, posting in postings.items():
             idf = _idf(self.doc_count, len(posting))
+            if len(posting) == 1:  # a term of one document: nothing to rank
+                ((d, tf),) = posting
+                self.contributions[term] = {d: idf * tf * k1_plus_1 / (tf + norms[d])}
+                continue
             # A stable sort keeps the ascending doc order of equal contributions.
             pairs = [(d, idf * tf * k1_plus_1 / (tf + norms[d])) for d, tf in posting]
             self.contributions[term] = dict(sorted(pairs, key=itemgetter(1), reverse=True))
@@ -106,16 +105,25 @@ class Bm25Index:
     @classmethod
     def build(cls, docs: list[TokenStream], params: Bm25Params = Bm25Params()) -> "Bm25Index":
         """One document per token stream; a ``str`` or a mapping is refused
-        with ``TypeError``. Each term's posting lists its documents in
-        ascending order; terms keep first-occurrence order."""
+        with ``TypeError``; no document is written to, so one token list may
+        stand for several documents. Each term's posting lists its documents
+        in ascending order; terms keep first-occurrence order."""
         postings: dict[str, list[tuple[int, int]]] = {}
         doc_lengths: list[int] = []
         for doc_index, doc in enumerate(docs):
             if type(doc) is not list and isinstance(doc, (str, Mapping)):  # would index chars or keys
                 raise TypeError(f"document {doc_index} is a {type(doc).__name__}, not a token stream")
             doc_lengths.append(len(doc))
-            for token, tf in _term_frequencies(doc).items():
-                postings.setdefault(token, []).append((doc_index, tf))
+            # One pass, no per-document counts: a term seen earlier in this
+            # document has this document's pair last in its posting.
+            for token in doc:
+                posting = postings.get(token)
+                if posting is None:
+                    postings[token] = [(doc_index, 1)]
+                elif posting[-1][0] == doc_index:
+                    posting[-1] = (doc_index, posting[-1][1] + 1)
+                else:
+                    posting.append((doc_index, 1))
         return cls(postings, doc_lengths, params)
 
     def top_k(self, query: TokenStream, k: int) -> list[ScoredDoc]:

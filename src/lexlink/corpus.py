@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_str
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DuplicateId,
@@ -26,8 +26,7 @@ from .errors import (
 _PRIOR_SUM_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class EntityRecord:
+class EntityRecord(NamedTuple):
     id: str
     name: str
     description: str
@@ -70,8 +69,7 @@ class KnowledgeBase:
         return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class AliasEntry:
+class AliasEntry(NamedTuple):
     alias: str
     entity_id: str
     prior: float
@@ -104,6 +102,7 @@ class AliasTable:
         return len(self.entries)
 
 
+# A dataclass, not a tuple: callers derive edited records with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class MentionRecord:
     doc_id: str

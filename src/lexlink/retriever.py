@@ -86,13 +86,18 @@ class Retriever:
     def __init__(self, alias_table: AliasTable, kb_rows: list[tuple[str, str]], config: RetrieverConfig):
         """One alias document per table entry (not deduplicated), one name
         document per ``(entity id, name)`` row, both tokenized with the shared
-        tokenizer. Every alias must map to an entity of ``kb_rows``."""
+        tokenizer. Each distinct string among the aliases and names is
+        tokenized once, and its documents in both indexes share that token
+        list. Every alias must map to an entity of ``kb_rows``."""
         known = {entity_id for entity_id, _ in kb_rows}
         misses = list(dict.fromkeys(entry.entity_id for entry in alias_table.entries if entry.entity_id not in known))
         if misses:
             raise DataError(f"alias table references unknown entities: {misses[:10]}")
-        self.at_index = Bm25Index.build([tokenize(entry.alias) for entry in alias_table.entries], config.bm25_params)
-        self.kb_index = Bm25Index.build([tokenize(name) for _, name in kb_rows], config.bm25_params)
+        aliases = [entry.alias for entry in alias_table.entries]
+        names = [name for _, name in kb_rows]
+        tokens = {text: tokenize(text) for text in {*aliases, *names}}
+        self.at_index = Bm25Index.build([tokens[alias] for alias in aliases], config.bm25_params)
+        self.kb_index = Bm25Index.build([tokens[name] for name in names], config.bm25_params)
         self.alias_table = alias_table  # entries: doc index -> AliasEntry
         self.kb_rows = kb_rows  # doc index -> (entity id, name)
         self.config = config

@@ -1,8 +1,9 @@
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexlink.bm25 import Bm25Index, Bm25Params, TermCounts, rank_term_counts
@@ -64,6 +65,45 @@ def test_build_refuses_a_str_or_a_mapping_as_a_document(doc):
 def test_build_takes_a_tuple_as_a_token_stream():
     want = Bm25Index.build([["apple", "pie", "apple"]]).postings
     assert Bm25Index.build([("apple", "pie", "apple")]).postings == want
+
+
+def counter_postings(docs):
+    """Each term's ``(doc index, tf)`` pairs from one ``Counter`` per
+    document, terms in first-occurrence order."""
+    postings = {}
+    for doc_index, doc in enumerate(docs):
+        for term, tf in Counter(doc).items():
+            postings.setdefault(term, []).append((doc_index, tf))
+    return postings
+
+
+@st.composite
+def token_corpora(draw):
+    """Lists and tuples over a few terms, some empty, with repeats adjacent or
+    not; a document drawn twice is one object standing for two documents."""
+    stream = st.lists(st.sampled_from("abcd"), max_size=6)
+    pool = draw(st.lists(st.one_of(stream, stream.map(tuple)), min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+SHARED_DOC = ["c", "a", "c"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs=token_corpora())
+@example(docs=[["a", "b", "a"], [], ("b", "a", "b"), SHARED_DOC, [], SHARED_DOC])
+def test_build_counts_the_postings_of_a_per_document_counter(docs):
+    before = [list(doc) for doc in docs]
+    index = Bm25Index.build(docs)
+    assert [list(doc) for doc in docs] == before  # nothing written to
+    assert list(index.postings.items()) == list(counter_postings(docs).items())
+    assert term_map_items(index) == {term: bm25_top_k(docs, [term], 1.5, 0.75, len(docs)) for term in index.postings}
+    # Each term renamed per document: every term has one posting, and its map is not sorted.
+    apart = [[f"{term}{doc_index}" for term in doc] for doc_index, doc in enumerate(docs)]
+    index = Bm25Index.build(apart)
+    assert all(len(posting) == 1 for posting in index.postings.values())
+    assert term_map_items(index) == bm25_term_rankings(index)
+    assert term_map_items(index) == {term: bm25_top_k(apart, [term], 1.5, 0.75, 1) for term in index.postings}
 
 
 # -- score -------------------------------------------------------------------

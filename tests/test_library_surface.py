@@ -7,14 +7,14 @@ arguments the drivers pass.
 """
 
 import inspect
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from lexlink import reranker
 from lexlink.bm25 import Bm25Index
-from lexlink.corpus import Dataset
+from lexlink.corpus import AliasEntry, Dataset, EntityRecord, MentionRecord
 from lexlink.ensemble import Prediction, VoteInput
 from lexlink.pipeline import LinkedMention, Pipeline
 from lexlink.reranker import (
@@ -60,6 +60,9 @@ CALLS = [
     (DualEncoder.load, ("path",), {}),
     (EntityEmbeddingStore.load, ("path", "kb"), {}),
     (precompute_entity_embeddings, ("model", "kb"), {}),
+    # The shared-names world's records (``benchmarks/workloads.py``).
+    (EntityRecord, (), {"id": "S0", "name": "name", "description": "desc"}),
+    (AliasEntry, (), {"alias": "name", "entity_id": "S0", "prior": 1.0}),
 ]
 
 
@@ -71,6 +74,9 @@ def test_the_calls_the_benchmark_drivers_make_still_bind():
     assert isinstance(Bm25Index.build([["a"], ["a", "b"]]).postings, dict)
     assert {"build_training_examples", "batch_loss_and_grads", "dataset_loss"} <= set(reranker.train.__code__.co_names)
     assert tuple(f.name for f in fields(LinkedMention) if f.compare) == LINKED_FIELDS
+    # The long-document world extends each mention's text with ``dataclasses.replace``.
+    record = MentionRecord(doc_id="d", text="a b", span_start=0, span_end=1, mention="a")
+    assert is_dataclass(MentionRecord) and replace(record, text="a b c").text == "a b c"
 
 
 def test_trained_and_initialized_models_read_as_whole_tables():
@@ -96,8 +102,10 @@ def test_trained_and_initialized_models_read_as_whole_tables():
         (Prediction, {"entity_id": "Q1", "decided_by": "majority"}),
         (RetrievalResult, {"cand_at": ["Q1"], "cand_kb": ["Q2"], "cand1": ["Q1", "Q2"], "cand2": ["Q2"],
                            "top1_at": "Q1", "top1_kb": "Q2", "top1_desc": "Q2"}),
+        (EntityRecord, {"id": "Q1", "name": "Apple", "description": "a fruit"}),
+        (AliasEntry, {"alias": "apple", "entity_id": "Q1", "prior": 0.5}),
     ],
-    ids=["VoteInput", "Prediction", "RetrievalResult"],
+    ids=["VoteInput", "Prediction", "RetrievalResult", "EntityRecord", "AliasEntry"],
 )
 def test_the_result_and_vote_types_are_immutable_tuples_bound_by_keyword(kind, values):
     value = kind(**values)

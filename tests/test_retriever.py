@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lexlink import retriever as retriever_module
-from lexlink.bm25 import Bm25Params
+from lexlink.bm25 import Bm25Index, Bm25Params
 from lexlink.corpus import AliasEntry, AliasTable, EntityRecord, KnowledgeBase, MentionRecord
 from lexlink.errors import ArtifactFormatError, DataError, StaleIndex
 from lexlink.pipeline import Pipeline
@@ -74,6 +74,44 @@ def test_duplicate_alias_strings_stay_separate_documents(fruit_kb, fruit_aliases
     r = Retriever.build(fruit_kb, fruit_aliases)
     apple_docs = [i for i, e in enumerate(r.alias_table.entries) if e.alias == "Apple"]
     assert len(apple_docs) == 2
+
+
+def test_a_string_that_is_an_alias_and_a_name_is_tokenized_once_for_both_indexes(monkeypatch):
+    """Each distinct alias or name string is tokenized once, and its one token
+    list stands for all its documents in both indexes. The indexes equal
+    those built from a fresh token list per document, and queries leave
+    both as built."""
+    names = ["Iron River", "gold crane", "Iron River", "petal", "river gold"]
+    kb_rows = [(f"E{i}", name) for i, name in enumerate(names)]
+    at = AliasTable([AliasEntry(alias=name, entity_id=eid, prior=0.5) for eid, name in kb_rows] + [
+        AliasEntry(alias="river", entity_id="E4", prior=0.5),
+        AliasEntry(alias="gold crane", entity_id="E4", prior=0.5),
+    ])
+    aliases = [entry.alias for entry in at.entries]
+    tokenized, built = [], []
+    monkeypatch.setattr(retriever_module, "tokenize", lambda text: tokenized.append(text) or tokenize(text))
+    real_build = Bm25Index.build
+    record = classmethod(lambda cls, docs, params: built.append(docs) or real_build(docs, params))
+    monkeypatch.setattr(Bm25Index, "build", record)
+    r = Retriever(at, kb_rows, RetrieverConfig())
+    monkeypatch.undo()
+
+    assert sorted(tokenized) == sorted({*aliases, *names})
+    at_docs, kb_docs = built
+    for i, alias in enumerate(aliases):
+        assert all(kb_docs[j] is at_docs[i] for j, name in enumerate(names) if name == alias)
+        assert all(at_docs[j] is at_docs[i] for j, other in enumerate(aliases) if other == alias)
+    separate = Bm25Index.build([tokenize(a) for a in aliases]), Bm25Index.build([tokenize(n) for n in names])
+
+    def assert_as_built():
+        for index, fresh in zip((r.at_index, r.kb_index), separate):
+            assert index.postings == fresh.postings
+            assert term_map_items(index) == term_map_items(fresh)
+
+    assert_as_built()
+    for query in ["iron river", "river", "gold", "Gold Crane", "petal river gold", "absent"]:
+        r.retrieve_coarse(query)
+    assert_as_built()
 
 
 # -- coarse ------------------------------------------------------------------
